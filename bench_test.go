@@ -31,6 +31,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sqlparse"
 	"repro/internal/storage/pager"
+	"repro/internal/strategy"
 	"repro/internal/sut"
 	"repro/internal/sut/memengine"
 )
@@ -625,7 +626,7 @@ func BenchmarkExtensionNegativeContainment(b *testing.B) {
 func plannerBench(b *testing.B, d dialect.Dialect) (planned, baseline *engine.Engine) {
 	b.Helper()
 	planned = engine.Open(d)
-	baseline = engine.Open(d, engine.WithoutPlanner())
+	baseline = engine.Open(d, engine.WithDisabled(strategy.Planner))
 	const rows = 10000
 	stmts := []string{
 		"CREATE TABLE t0(c0 INT, c1 TEXT)",
@@ -830,7 +831,7 @@ func measureRowFilter(b *testing.B) map[string]float64 {
 		rowFilterRatios = map[string]float64{}
 		for _, shape := range rowFilterShapes() {
 			compiled := engine.Open(dialect.SQLite)
-			interp := engine.Open(dialect.SQLite, engine.WithoutCompiledEval())
+			interp := engine.Open(dialect.SQLite, engine.WithDisabled(strategy.Compile))
 			for _, e := range []*engine.Engine{compiled, interp} {
 				for _, s := range shape.setup {
 					if _, err := e.Exec(s); err != nil {
@@ -886,7 +887,7 @@ func BenchmarkRowFilter(b *testing.B) {
 			opts []engine.Option
 		}{
 			{"compiled", nil},
-			{"tree-walk", []engine.Option{engine.WithoutCompiledEval()}},
+			{"tree-walk", []engine.Option{engine.WithDisabled(strategy.Compile)}},
 		} {
 			b.Run(shape.name+"/"+mode.name, func(b *testing.B) {
 				e := engine.Open(dialect.SQLite, mode.opts...)
@@ -1236,12 +1237,13 @@ var (
 )
 
 // hashJoinBenchEngines builds the 1k x 1k equi-join workload on two
-// engines: join-strategy selection enabled and the -no-hashjoin nested
-// baseline. Every key matches exactly once, so the join yields 1000 rows
-// from a million-pair cross space — the shape where hashing pays most.
+// engines: join-strategy selection enabled and the nested-loop baseline
+// (strategy.HashJoin disabled). Every key matches exactly once, so the
+// join yields 1000 rows from a million-pair cross space — the shape where
+// hashing pays most.
 func hashJoinBenchEngines(b *testing.B) (hashed, nested *engine.Engine) {
 	hashed = engine.Open(dialect.SQLite)
-	nested = engine.Open(dialect.SQLite, engine.WithoutHashJoin())
+	nested = engine.Open(dialect.SQLite, engine.WithDisabled(strategy.HashJoin))
 	const rows = 1000
 	var stmts []string
 	for _, tbl := range []string{"jb0", "jb1"} {
@@ -1325,12 +1327,12 @@ var (
 
 // hashAggBenchEngines builds a 10k-row grouped workload with the given
 // group-key cardinality on two engines: one with the streaming hash
-// aggregate (the default) and one with WithoutHashAgg forcing the
+// aggregate (the default) and one with strategy.HashAgg disabled forcing the
 // materialized per-group row retention it replaced.
 func hashAggBenchEngines(tb testing.TB, groups int) (hashed, materialized *engine.Engine) {
 	tb.Helper()
 	hashed = engine.Open(dialect.SQLite)
-	materialized = engine.Open(dialect.SQLite, engine.WithoutHashAgg())
+	materialized = engine.Open(dialect.SQLite, engine.WithDisabled(strategy.HashAgg))
 	const rows = 10000
 	stmts := []string{"CREATE TABLE ab0(g INT, a INT, b REAL, c INT)"}
 	var sb strings.Builder
@@ -1498,21 +1500,15 @@ func BenchmarkTopK(b *testing.B) {
 // + oracle checks, now including grouped and exact-position ordered
 // query shapes) with the hash paths on versus ablated, per dialect.
 func BenchmarkAggCampaignThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		noHashAgg bool
-	}{
-		{"HashAgg", false},
-		{"NoHashAgg", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, off := range []strategy.Set{0, strategy.HashAgg} {
+		b.Run("disable="+off.String(), func(b *testing.B) {
 			for _, d := range dialect.All {
 				b.Run(d.String(), func(b *testing.B) {
 					tester := core.NewTester(core.Config{
 						Dialect:      d,
 						Seed:         1,
 						QueriesPerDB: 20,
-						NoHashAgg:    mode.noHashAgg,
+						Disable:      off,
 					})
 					b.ResetTimer()
 					start := time.Now()

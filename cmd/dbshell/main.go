@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dbshell -dialect sqlite [-backend memengine|wire] [-storage pager] [-fault sqlite.partial-index-not-null] [-no-compile] [-no-hashjoin] [-no-hashagg]
+//	dbshell -dialect sqlite [-backend memengine|wire] [-storage pager] [-fault sqlite.partial-index-not-null] [-disable hashjoin,hashagg]
 //
 // Statements end with ';'. Meta commands: .tables, .schema <t>,
 // .plan <select>, .oracle <name>, .begin, .commit, .rollback,
@@ -19,8 +19,9 @@
 // pristine state of a fresh open.
 // `EXPLAIN [QUERY PLAN] <select>;` also works as a statement and reports
 // the planner's chosen access path per FROM source. `.timer on` prints
-// per-statement wall time — combined with -no-compile it A/B-tests
-// compiled expression programs against the tree-walk interpreter.
+// per-statement wall time — combined with -disable it A/B-tests an
+// execution strategy (planner, compile, hashjoin, hashagg) against its
+// naive counterpart (see DESIGN.md "Execution strategies").
 // `.oracle <name>` runs one-shot checks of a registered testing oracle
 // (pqs, tlp, norec, recovery, serializability) against the shell's
 // current database — handy for watching an injected fault (-fault) get
@@ -47,6 +48,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/oracle"
 	"repro/internal/storage/pager"
+	"repro/internal/strategy"
 	"repro/internal/sut"
 	_ "repro/internal/sut/memengine"
 	_ "repro/internal/sut/wire"
@@ -57,10 +59,7 @@ func main() {
 		dialectFlag = flag.String("dialect", "sqlite", "dialect profile")
 		backendFlag = flag.String("backend", sut.DefaultBackend, "SUT backend (memengine, wire)")
 		faultFlag   = flag.String("fault", "", "comma-separated faults to inject")
-		noPlanner   = flag.Bool("no-planner", false, "disable index access paths")
-		noCompile   = flag.Bool("no-compile", false, "disable compiled expression programs (tree-walk evaluation)")
-		noHashJoin  = flag.Bool("no-hashjoin", false, "disable hash/index-lookup join strategies (nested-loop joins only)")
-		noHashAgg   = flag.Bool("no-hashagg", false, "disable hash aggregation and top-K ordering (materialized grouping + full sorts)")
+		disableFlag = flag.String("disable", "", "comma-separated execution strategies to turn off: planner, compile, hashjoin, hashagg")
 		storageFlag = flag.String("storage", "", "storage mode: memory (default) or pager (durable page file + WAL)")
 	)
 	flag.Parse()
@@ -70,7 +69,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	sess := sut.Session{Dialect: d, NoPlanner: *noPlanner, NoCompile: *noCompile, NoHashJoin: *noHashJoin, NoHashAgg: *noHashAgg, Storage: *storageFlag}
+	disable, err := strategy.Parse(*disableFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	sess := sut.Session{Dialect: d, Disable: disable, Storage: *storageFlag}
 	if *faultFlag != "" {
 		fs := faults.NewSet()
 		for _, name := range strings.Split(*faultFlag, ",") {
@@ -305,7 +309,7 @@ func run(db sut.DB, sql string) {
 	elapsed := time.Since(start)
 	if timerOn {
 		// Printed for errors too: bind-time rejection vs per-row failure
-		// is exactly the cost difference -no-compile A/B runs look at.
+		// is exactly the cost difference `-disable compile` A/B runs look at.
 		defer fmt.Printf("Run Time: %s\n", elapsed)
 	}
 	if err != nil {

@@ -7,6 +7,7 @@
 //	sqlancer-go -dialect sqlite -fault sqlite.partial-index-not-null -max-dbs 500
 //	sqlancer-go -dialect sqlite -oracle pqs,tlp,norec -fault sqlite.union-all-dedup
 //	sqlancer-go -dialect sqlite -corpus -max-dbs 2000
+//	sqlancer-go -dialect sqlite -corpus -disable hashjoin,hashagg
 //	sqlancer-go -dialect mysql -mode fuzz -max-dbs 200
 //	sqlancer-go -mode diff -dialect sqlite -right postgres
 //	sqlancer-go -backend wire -dialect sqlite -fault sqlite.partial-index-not-null
@@ -27,16 +28,14 @@
 // the SUT driver (memengine drives the engine in process with the ExecAST
 // fast path; wire goes through database/sql); -wire-fidelity keeps the
 // memengine backend but re-renders and reparses every statement, for
-// parser coverage. -no-compile disables compiled expression programs so
-// A/B runs can compare the tree-walk evaluator (see DESIGN.md "Compiled
-// expression programs" and "Metamorphic oracles"). -no-hashjoin pins
-// every join level to the nested loop, ablating hash and index-lookup
-// join strategies (see DESIGN.md "Join execution & strategy selection");
-// the three sqlite/postgres hash-join faults are unreachable under it.
-// -no-hashagg forces materialized grouping and full sorts, ablating the
-// streaming hash-aggregation executor and the top-K ORDER BY/LIMIT path
-// (see DESIGN.md "Aggregation & ordering execution"); the three hash-agg
-// faults are unreachable under it.
+// parser coverage.
+//
+// -disable turns execution strategies off (comma-separated: planner,
+// compile, hashjoin, hashagg), pinning each to its naive counterpart for
+// A/B runs and for bisecting a detection to the code path it lives in
+// (see DESIGN.md "Execution strategies", which lists the faults each
+// strategy's code path holds; they are unreachable with it disabled). It
+// applies to the pqs and fuzz modes and to -corpus; -mode diff rejects it.
 //
 // -storage pager runs every session on the durable page-file + WAL
 // backend instead of in memory. The recovery-equivalence oracle
@@ -69,6 +68,7 @@ import (
 	"repro/internal/fuzz"
 	"repro/internal/oracle"
 	"repro/internal/runner"
+	"repro/internal/strategy"
 	"repro/internal/sut"
 	_ "repro/internal/sut/memengine"
 	_ "repro/internal/sut/wire"
@@ -92,9 +92,7 @@ func main() {
 		backend     = flag.String("backend", sut.DefaultBackend, "SUT backend: memengine, wire")
 		storageFlag = flag.String("storage", "", "storage mode: memory (default) or pager (durable page file + WAL; required by the recovery oracle)")
 		wireFid     = flag.Bool("wire-fidelity", false, "render+reparse each statement instead of the AST fast path")
-		noCompile   = flag.Bool("no-compile", false, "disable compiled expression programs (tree-walk evaluation)")
-		noHashJoin  = flag.Bool("no-hashjoin", false, "disable hash/index-lookup join strategies (nested-loop joins only)")
-		noHashAgg   = flag.Bool("no-hashagg", false, "disable hash aggregation and top-K ordering (materialized grouping + full sorts)")
+		disableFlag = flag.String("disable", "", "comma-separated execution strategies to turn off: planner, compile, hashjoin, hashagg")
 		corpusFlag  = flag.Bool("corpus", false, "sweep every registered fault of the dialect through one shared scheduler pool (-max-dbs is the per-fault budget)")
 		listFaults  = flag.Bool("list-faults", false, "print the fault registry and exit")
 	)
@@ -109,6 +107,10 @@ func main() {
 	}
 
 	d, err := dialect.Parse(*dialectFlag)
+	if err != nil {
+		fatal(err)
+	}
+	disable, err := strategy.Parse(*disableFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -129,9 +131,7 @@ func main() {
 			QueriesPerDB: *queries,
 			Backend:      *backend,
 			WireFidelity: *wireFid,
-			NoCompile:    *noCompile,
-			NoHashJoin:   *noHashJoin,
-			NoHashAgg:    *noHashAgg,
+			Disable:      disable,
 			Storage:      *storageFlag,
 			Sessions:     *sessions,
 		})
@@ -140,19 +140,19 @@ func main() {
 
 	switch *mode {
 	case "pqs":
-		runPQS(d, *faultFlag, *backend, *storageFlag, *wireFid, *noCompile, *noHashJoin, *noHashAgg, *maxDBs, *workers, *seed, *rows, *depth, *queries, *sessions, *doReduce, parseOracles(*oracleFlag))
+		runPQS(d, *faultFlag, *backend, *storageFlag, *wireFid, disable, *maxDBs, *workers, *seed, *rows, *depth, *queries, *sessions, *doReduce, parseOracles(*oracleFlag))
 	case "fuzz":
-		runFuzz(d, *faultFlag, *backend, *storageFlag, *wireFid, *noCompile, *noHashJoin, *noHashAgg, *maxDBs, *seed, *queries)
+		runFuzz(d, *faultFlag, *backend, *storageFlag, *wireFid, disable, *maxDBs, *seed, *queries)
 	case "diff":
 		if *wireFid {
 			// The differential baseline is already string-based end to
 			// end; there is no AST fast path to opt out of.
 			fatal(fmt.Errorf("-wire-fidelity does not apply to -mode diff"))
 		}
-		if *noCompile {
+		if disable != 0 {
 			// diffdb opens its own sessions and does not plumb engine
 			// options; reject rather than silently ignore.
-			fatal(fmt.Errorf("-no-compile does not apply to -mode diff"))
+			fatal(fmt.Errorf("-disable does not apply to -mode diff"))
 		}
 		if *storageFlag != "" && *storageFlag != "memory" {
 			// Same reason: diffdb sessions are not storage-configurable.
@@ -203,7 +203,7 @@ func parseOracles(list string) []string {
 	return out
 }
 
-func runPQS(d dialect.Dialect, faultName, backend, storage string, wireFid, noCompile, noHashJoin, noHashAgg bool, maxDBs, workers int, seed int64, rows, depth, queries, sessions int, doReduce bool, oracles []string) {
+func runPQS(d dialect.Dialect, faultName, backend, storage string, wireFid bool, disable strategy.Set, maxDBs, workers int, seed int64, rows, depth, queries, sessions int, doReduce bool, oracles []string) {
 	res := runner.Run(runner.Campaign{
 		Dialect:      d,
 		Fault:        parseFault(faultName),
@@ -218,9 +218,7 @@ func runPQS(d dialect.Dialect, faultName, backend, storage string, wireFid, noCo
 			QueriesPerDB: queries,
 			Backend:      backend,
 			WireFidelity: wireFid,
-			NoCompile:    noCompile,
-			NoHashJoin:   noHashJoin,
-			NoHashAgg:    noHashAgg,
+			Disable:      disable,
 			Storage:      storage,
 			Sessions:     sessions,
 		},
@@ -267,13 +265,13 @@ func runCorpus(d dialect.Dialect, maxDBs, workers int, seed int64, doReduce bool
 		detected, len(results), databases, time.Since(start).Round(time.Millisecond))
 }
 
-func runFuzz(d dialect.Dialect, faultName, backend, storage string, wireFid, noCompile, noHashJoin, noHashAgg bool, maxDBs int, seed int64, queries int) {
+func runFuzz(d dialect.Dialect, faultName, backend, storage string, wireFid bool, disable strategy.Set, maxDBs int, seed int64, queries int) {
 	var fs *faults.Set
 	if f := parseFault(faultName); f != "" {
 		fs = faults.NewSet(f)
 	}
 	for i := 0; i < maxDBs; i++ {
-		f := fuzz.New(fuzz.Config{Dialect: d, Seed: seed + int64(i), Faults: fs, QueriesPerDB: queries, Backend: backend, WireFidelity: wireFid, NoCompile: noCompile, NoHashJoin: noHashJoin, NoHashAgg: noHashAgg, Storage: storage})
+		f := fuzz.New(fuzz.Config{Dialect: d, Seed: seed + int64(i), Faults: fs, QueriesPerDB: queries, Backend: backend, WireFidelity: wireFid, Disable: disable, Storage: storage})
 		bug, err := f.RunDatabase()
 		if err != nil {
 			fatal(err)

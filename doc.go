@@ -26,18 +26,20 @@
 // to identical behaviour.
 //
 // The engine evaluates query predicates through compiled expression
-// programs (slot-bound closures, internal/eval's Compile); the
-// Session.NoCompile option — `-no-compile` on the CLIs — restores the
-// tree-walk interpreter for A/B runs. See DESIGN.md "Compiled expression
-// programs".
+// programs (slot-bound closures, internal/eval's Compile). Joins pick a
+// per-level strategy — hash join, index lookup, or nested loop — from
+// estimated cardinalities, with collation/affinity-correct key
+// normalization and full ON re-verification on every candidate pair;
+// EXPLAIN QUERY PLAN surfaces the choice. Grouping and ORDER BY + LIMIT
+// stream through hash aggregation and a top-K heap.
 //
-// Joins pick a per-level strategy — hash join, index lookup, or nested
-// loop — from estimated cardinalities, with collation/affinity-correct
-// key normalization and full ON re-verification on every candidate pair;
-// EXPLAIN QUERY PLAN surfaces the choice. The Session.NoHashJoin option —
-// `-no-hashjoin` on the CLIs, DSN `hashjoin=off` — pins every level to
-// the nested loop, and three injectable hash-join faults ride inside the
-// ablated code. See DESIGN.md "Join execution & strategy selection".
+// Each of these execution strategies (planner, compile, hashjoin,
+// hashagg) can be turned off through one typed set, strategy.Set: it is
+// Session.Disable at the SUT boundary, `disable=` in the DSN, and
+// `-disable` on the CLIs. A disabled strategy falls back to its naive
+// counterpart, which serves A/B runs and bisection: the faults injected
+// inside a strategy's code path go quiet with it disabled. See DESIGN.md
+// "Execution strategies".
 //
 // Databases can live on a durable storage backend
 // (internal/storage/pager): a page file plus write-ahead log with

@@ -20,6 +20,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
+	"repro/internal/strategy"
 	"repro/internal/sut"
 	// The blank import registers sut.DefaultBackend so RunDatabase works
 	// out of the box from any consumer. This deliberately links the
@@ -54,19 +55,12 @@ type Config struct {
 	// coverage (measurably slower; BenchmarkCampaignThroughput tracks the
 	// gap).
 	WireFidelity bool
-	// NoCompile disables the engine's compiled expression programs (the
-	// `-no-compile` escape hatch for A/B runs): every clause of every
-	// query executes through the tree-walk interpreter, and the
+	// Disable turns execution strategies off for every database (the
+	// `-disable` escape hatch for A/B runs and bisection; see DESIGN.md
+	// "Execution strategies"). With strategy.Compile disabled, the
 	// UseEngineAsOracle ablation's pivot checks fall back to tree walks
-	// too. See DESIGN.md "Compiled expression programs".
-	NoCompile bool
-	// NoHashJoin pins every join level to the nested-loop operator (the
-	// `-no-hashjoin` A/B baseline; see DESIGN.md "Join execution").
-	NoHashJoin bool
-	// NoHashAgg forces materialized grouping and full sorts (the
-	// `-no-hashagg` A/B baseline; see DESIGN.md "Aggregation & ordering
-	// execution").
-	NoHashAgg bool
+	// too.
+	Disable strategy.Set
 
 	// MaxExprDepth bounds generated expression trees (Algorithm 1's
 	// maxdepth). Default 3.
@@ -217,9 +211,7 @@ func (c Config) Session() sut.Session {
 		Dialect:      c.Dialect,
 		Faults:       c.Faults,
 		WireFidelity: c.WireFidelity,
-		NoCompile:    c.NoCompile,
-		NoHashJoin:   c.NoHashJoin,
-		NoHashAgg:    c.NoHashAgg,
+		Disable:      c.Disable,
 		Storage:      c.Storage,
 	}
 }
@@ -665,7 +657,7 @@ func (t *Tester) bindPivot(intro sut.Introspection, pivots []pivotRow, sg *gen.S
 	}
 	t.colsBuf, t.hintsBuf = cols, hints
 	t.pivotLay, t.pivotFrame = nil, eval.Frame{}
-	if t.cfg.UseEngineAsOracle && !t.cfg.NoCompile {
+	if t.cfg.UseEngineAsOracle && !t.cfg.Disable.Has(strategy.Compile) {
 		t.pivotLay = newPivotLayout(cols)
 		t.pivotFrame = eval.Frame{Rows: [][]sqlval.Value{pivotColValues(cols, hints)}}
 	}

@@ -1,16 +1,15 @@
 // Package dbdriver exposes the engine substrate through database/sql, so
 // example code reads like ordinary Go database code. The DSN selects the
-// dialect profile and, optionally, injected faults, planner mode, and
-// expression-compilation mode:
+// dialect profile and, optionally, injected faults, disabled execution
+// strategies, and the storage backend:
 //
 //	db, _ := sql.Open("pqs", "sqlite")
 //	db, _ := sql.Open("pqs", "mysql?fault=mysql.double-negation,mysql.set-option-error")
-//	db, _ := sql.Open("pqs", "sqlite?planner=off")
-//	db, _ := sql.Open("pqs", "sqlite?compile=off")
-//	db, _ := sql.Open("pqs", "sqlite?hashjoin=off")
-//	db, _ := sql.Open("pqs", "sqlite?hashagg=off")
+//	db, _ := sql.Open("pqs", "sqlite?disable=hashjoin,hashagg")
 //	db, _ := sql.Open("pqs", "sqlite?storage=pager")
 //
+// disable= takes a strategy.Set in its String form (any of planner,
+// compile, hashjoin, hashagg) and opens the engine with WithDisabled.
 // storage=pager opens the connection on the durable page-file + WAL
 // backend in a private temp directory (removed when the connection
 // closes) instead of the default in-memory heap.
@@ -37,6 +36,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/sqlval"
 	"repro/internal/storage/pager"
+	"repro/internal/strategy"
 )
 
 func init() {
@@ -71,38 +71,12 @@ func (*Driver) Open(dsn string) (driver.Conn, error) {
 					}
 					fs.Enable(f)
 				}
-			case "planner":
-				switch v {
-				case "off":
-					opts = append(opts, engine.WithoutPlanner())
-				case "on": // the default; accepted for symmetry
-				default:
-					return nil, fmt.Errorf("pqs driver: planner=%q (want on or off)", v)
+			case "disable":
+				off, err := strategy.Parse(v)
+				if err != nil {
+					return nil, fmt.Errorf("pqs driver: %v", err)
 				}
-			case "compile":
-				switch v {
-				case "off":
-					opts = append(opts, engine.WithoutCompiledEval())
-				case "on": // the default; accepted for symmetry
-				default:
-					return nil, fmt.Errorf("pqs driver: compile=%q (want on or off)", v)
-				}
-			case "hashjoin":
-				switch v {
-				case "off":
-					opts = append(opts, engine.WithoutHashJoin())
-				case "on": // the default; accepted for symmetry
-				default:
-					return nil, fmt.Errorf("pqs driver: hashjoin=%q (want on or off)", v)
-				}
-			case "hashagg":
-				switch v {
-				case "off":
-					opts = append(opts, engine.WithoutHashAgg())
-				case "on": // the default; accepted for symmetry
-				default:
-					return nil, fmt.Errorf("pqs driver: hashagg=%q (want on or off)", v)
-				}
+				opts = append(opts, engine.WithDisabled(off))
 			case "storage":
 				switch v {
 				case "memory": // the default; accepted for symmetry

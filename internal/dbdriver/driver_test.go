@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/strategy"
 )
 
 func TestDriverRoundTrip(t *testing.T) {
@@ -111,14 +112,17 @@ func TestDriverRepeatedFaultParamsMerge(t *testing.T) {
 	}
 }
 
-// planner=off must map to engine.WithoutPlanner: every access path is a
-// full scan.
+// disable=planner must map to engine.WithDisabled(strategy.Planner):
+// every access path is a full scan.
 func TestDriverPlannerOffDSN(t *testing.T) {
-	conn, err := (&Driver{}).Open("sqlite?planner=off")
+	conn, err := (&Driver{}).Open("sqlite?disable=planner")
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := conn.(interface{ Engine() *engine.Engine }).Engine()
+	if eng.Disabled() != strategy.Planner {
+		t.Fatalf("engine disabled set = %q, want planner", eng.Disabled())
+	}
 	for _, s := range []string{
 		`CREATE TABLE t0(c0 INT)`,
 		`CREATE INDEX i0 ON t0(c0)`,
@@ -134,11 +138,12 @@ func TestDriverPlannerOffDSN(t *testing.T) {
 	}
 	for _, p := range paths {
 		if strings.Contains(strings.ToUpper(p.Detail()), "INDEX") {
-			t.Errorf("planner=off still chose an index path: %s", p.Detail())
+			t.Errorf("disable=planner still chose an index path: %s", p.Detail())
 		}
 	}
-	if _, err := (&Driver{}).Open("sqlite?planner=sideways"); err == nil {
-		t.Error("bad planner value should fail")
+	if _, err := (&Driver{}).Open("sqlite?disable=sideways"); err == nil ||
+		!strings.Contains(err.Error(), "hashagg") {
+		t.Errorf("unknown strategy should fail and list the valid names, got %v", err)
 	}
 }
 

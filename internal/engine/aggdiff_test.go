@@ -29,25 +29,15 @@ func aggTestSchema(t *testing.T, e *Engine) {
 	)
 }
 
-// assertAggEquivalent runs the same query on the hash-agg and
-// materialized engines and requires byte-identical results or errors.
-// Grouped output order is part of the contract (first-seen key order),
-// as is ordered output under ORDER BY/LIMIT — top-K must reproduce the
-// full sort's stable tie order exactly.
-func assertAggEquivalent(t *testing.T, on, off *Engine, sql string) {
-	t.Helper()
-	got, want := runQuery(on, sql), runQuery(off, sql)
-	if got != want {
-		t.Errorf("hash-agg/materialized divergence on %q:\nhash path:\n%s\nmaterialized:\n%s", sql, got, want)
-	}
-}
-
 // TestHashAggVsMaterializedEquivalence is the differential oracle for the
 // aggregation and ordering strategies: across all three dialects, a
 // spread of handcrafted edge queries and randomly generated
-// grouped/ordered/limited queries must return byte-identical results
-// with hash aggregation + top-K enabled and with WithoutHashAgg pinning
-// the engine to materialized grouping and full sorts.
+// grouped/ordered/limited queries must return byte-identical results or
+// errors on the all-on engine and on every StrategyDiff ablation,
+// including HashAgg disabled, which pins the engine to materialized
+// grouping and full sorts. Grouped output order is part of the contract
+// (first-seen key order), as is ordered output under ORDER BY/LIMIT —
+// top-K must reproduce the full sort's stable tie order exactly.
 func TestHashAggVsMaterializedEquivalence(t *testing.T) {
 	handcrafted := []string{
 		// NULL group keys collapse into one group on both paths.
@@ -93,16 +83,16 @@ func TestHashAggVsMaterializedEquivalence(t *testing.T) {
 	for _, d := range dialect.All {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
-			on := Open(d)
-			off := Open(d, WithoutHashAgg())
-			aggTestSchema(t, on)
-			aggTestSchema(t, off)
+			sd := NewStrategyDiff(t, d, runQuery)
+			for _, e := range sd.Engines() {
+				aggTestSchema(t, e)
+			}
 			for _, q := range handcrafted {
-				assertAggEquivalent(t, on, off, q)
+				sd.Check(q)
 			}
 			rnd := rand.New(rand.NewSource(10))
 			for i := 0; i < 150; i++ {
-				assertAggEquivalent(t, on, off, randomAggQuery(rnd))
+				sd.Check(randomAggQuery(rnd))
 			}
 		})
 	}

@@ -2,14 +2,15 @@
 // eval compiler binds slots against, the per-statement program cache, and
 // exprEval — the per-SELECT facade that hands the query path closures
 // which evaluate through compiled programs by default and through the
-// tree-walk interpreter when compilation is disabled (WithoutCompiledEval,
-// the -no-compile escape hatch).
+// tree-walk interpreter when compilation is disabled (strategy.Compile in
+// WithDisabled, the `-disable compile` escape hatch).
 package engine
 
 import (
 	"repro/internal/eval"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
+	"repro/internal/strategy"
 )
 
 // relLayout exposes a statement's FROM relations as the compile-time
@@ -97,7 +98,7 @@ type exprEval struct {
 // newExprEval prepares expression evaluation over a relation set.
 func (e *Engine) newExprEval(rels []*relation) *exprEval {
 	x := &exprEval{e: e, env: joinedEnv{rels: rels}}
-	if !e.noCompile {
+	if !e.off.Has(strategy.Compile) {
 		x.compiled = true
 		x.lay = relLayout{rels: rels}
 		x.frame.Rows = make([][]sqlval.Value, len(rels))

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/dialect"
 	"repro/internal/sqlparse"
+	"repro/internal/strategy"
 )
 
 // twoEngines opens a compiled-default engine and a tree-walk baseline and
@@ -13,7 +15,7 @@ import (
 func twoEngines(t *testing.T, d dialect.Dialect, setup []string) (compiled, interpreted *Engine) {
 	t.Helper()
 	compiled = Open(d)
-	interpreted = Open(d, WithoutCompiledEval())
+	interpreted = Open(d, WithDisabled(strategy.Compile))
 	for _, e := range []*Engine{compiled, interpreted} {
 		for _, s := range setup {
 			if _, err := e.Exec(s); err != nil {
@@ -122,33 +124,33 @@ func TestCompiledMatchesInterpretedQueries(t *testing.T) {
 		"SELECT t0.c0 FROM t0, t1 WHERE t0.c0 = t1.k",
 	}
 	for _, d := range dialect.All {
-		if d != dialect.SQLite {
-			continue // the setup script is SQLite-flavoured; other dialects run via the campaign suites
+		sd := NewStrategyDiff(t, d, renderTyped)
+		for _, e := range sd.Engines() {
+			for _, q := range setup {
+				if _, err := e.Exec(q); err != nil {
+					t.Fatalf("%s: setup %q: %v", d, q, err)
+				}
+			}
 		}
-		compiled, interpreted := twoEngines(t, d, setup)
 		for _, q := range queries {
-			cr, cerr := compiled.Exec(q)
-			ir, ierr := interpreted.Exec(q)
-			if (cerr == nil) != (ierr == nil) {
-				t.Fatalf("%q: compiled err=%v interpreted err=%v", q, cerr, ierr)
-			}
-			if cerr != nil {
-				if cerr.Error() != ierr.Error() {
-					t.Fatalf("%q: error text diverged: %q vs %q", q, cerr, ierr)
-				}
-				continue
-			}
-			if len(cr.Rows) != len(ir.Rows) {
-				t.Fatalf("%q: %d rows compiled vs %d interpreted", q, len(cr.Rows), len(ir.Rows))
-			}
-			for i := range cr.Rows {
-				for j := range cr.Rows[i] {
-					a, b := cr.Rows[i][j], ir.Rows[i][j]
-					if a.Kind() != b.Kind() || a.String() != b.String() {
-						t.Fatalf("%q: row %d col %d: %s vs %s", q, i, j, a, b)
-					}
-				}
-			}
+			sd.Check(q)
 		}
 	}
+}
+
+// renderTyped renders a result for TestCompiledMatchesInterpretedQueries'
+// comparison: the error text, or every value's kind and text.
+func renderTyped(e *Engine, sql string) string {
+	res, err := e.Exec(sql)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	var b strings.Builder
+	for _, row := range res.Rows {
+		for _, v := range row {
+			fmt.Fprintf(&b, "%d:%s|", v.Kind(), v)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }

@@ -6,7 +6,7 @@
 // Query execution picks strategies by cost: index access paths (plan.go),
 // hash/index/nested-loop joins (join.go), and streaming hash aggregation
 // plus heap-based top-K ordering (agg.go), each ablatable down to its
-// naive counterpart (WithoutHashJoin, WithoutHashAgg, ...) so campaigns
+// naive counterpart (WithDisabled over a strategy.Set) so campaigns
 // can bisect a detection to the optimized path.
 package engine
 
@@ -23,6 +23,7 @@ import (
 	"repro/internal/sqlval"
 	"repro/internal/storage"
 	"repro/internal/storage/pager"
+	"repro/internal/strategy"
 	"repro/internal/xerr"
 )
 
@@ -66,11 +67,8 @@ type Engine struct {
 	ddlEpoch          int64  // bumped on schema changes; guards data snapshots
 	corrupt           string // non-empty: database is corrupted; message
 	caseSensitiveLike bool
-	noPlanner         bool // force full scans (differential-test baseline)
-	noCompile         bool // force tree-walk evaluation (compiled-eval baseline)
-	noHashJoin        bool // force nested-loop joins (hash-join baseline)
-	noHashAgg         bool // force materialized grouping + full sorts (hash-agg baseline)
-	skipIndexMaint    bool // stale-index fault: storeRow leaves indexes untouched
+	off               strategy.Set // disabled execution strategies (WithDisabled)
+	skipIndexMaint    bool         // stale-index fault: storeRow leaves indexes untouched
 	globals           map[string]sqlval.Value
 
 	// freeTables/freeIndexes recycle storage containers across Reset so a
@@ -116,35 +114,13 @@ func WithFaults(fs *faults.Set) Option {
 	return func(e *Engine) { e.fs = fs }
 }
 
-// WithoutPlanner disables index access paths: every query runs as a full
-// table scan. The scan-vs-index differential suite uses this as its
-// ground-truth baseline.
-func WithoutPlanner() Option {
-	return func(e *Engine) { e.noPlanner = true }
-}
-
-// WithoutCompiledEval disables the compiled-expression fast path: every
-// clause evaluates through the tree-walk interpreter. This is the
-// `-no-compile` escape hatch for A/B runs and the baseline half of the
-// compiled-vs-interpreted differential suites.
-func WithoutCompiledEval() Option {
-	return func(e *Engine) { e.noCompile = true }
-}
-
-// WithoutHashJoin disables join-strategy selection: every join level runs
-// as a nested loop. This is the `hashjoin=off` escape hatch for A/B runs
-// and the baseline half of the hash-vs-nested differential suites.
-func WithoutHashJoin() Option {
-	return func(e *Engine) { e.noHashJoin = true }
-}
-
-// WithoutHashAgg disables the streaming aggregation executor and the top-K
-// ordering path: GROUP BY resolves groups by the linear materialized scan,
-// aggregates re-iterate retained group combos, and ORDER BY + LIMIT always
-// sorts the full result. This is the `hashagg=off` escape hatch for A/B
-// runs and the baseline half of the hash-agg differential suites.
-func WithoutHashAgg() Option {
-	return func(e *Engine) { e.noHashAgg = true }
+// WithDisabled turns the given execution strategies off, pinning each to
+// its naive counterpart: Planner to full scans, Compile to the tree-walk
+// interpreter, HashJoin to nested loops, HashAgg to materialized grouping
+// and full sorts. It is the A/B escape hatch and the baseline half of the
+// strategy differential suites.
+func WithDisabled(s strategy.Set) Option {
+	return func(e *Engine) { e.off = s }
 }
 
 // Open creates an empty database for the dialect.
@@ -173,6 +149,9 @@ func (e *Engine) Dialect() dialect.Dialect { return e.d }
 
 // Faults exposes the enabled fault set (nil when none).
 func (e *Engine) Faults() *faults.Set { return e.fs }
+
+// Disabled reports the execution strategies the engine was opened without.
+func (e *Engine) Disabled() strategy.Set { return e.off }
 
 // crashPanic is the payload of a simulated SEGFAULT.
 type crashPanic struct{ site string }

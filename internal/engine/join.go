@@ -36,6 +36,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
+	"repro/internal/strategy"
 )
 
 // JoinStrategy names the operator chosen for one join level.
@@ -87,7 +88,7 @@ type joinAnalysis struct {
 // hashBlockingFaults rewrite equality/comparison semantics, breaking the
 // "eval-equal implies key-equal" invariant hash bucketing relies on. Any of
 // them enabled forces every join level back to the nested loop, so their
-// detection behaviour is trivially identical under hashjoin=on/off.
+// detection behaviour is trivially identical with strategy.HashJoin on or off.
 var hashBlockingFaults = []faults.Fault{
 	faults.AffinityCompare,
 	faults.MemoryEngineCast,
@@ -114,7 +115,7 @@ func (e *Engine) hashJoinBlocked() bool {
 // non-Postgres dialects (Postgres comparisons can raise type errors that
 // the full enumeration would surface).
 func (e *Engine) crossPrefilterOK(n *sqlast.Select, rels []*relation) bool {
-	return !e.noHashJoin && e.d != dialect.Postgres && n.Where != nil &&
+	return !e.off.Has(strategy.HashJoin) && e.d != dialect.Postgres && n.Where != nil &&
 		e.fs.Empty() && errFreeOn(n.Where, rels)
 }
 
@@ -248,7 +249,7 @@ func extractEquiKeys(cond sqlast.Expr, vis []*relation, level int) []equiKey {
 // analyzeJoin decides hash/index eligibility for one join level, returning
 // nil when only the nested loop is sound.
 func (e *Engine) analyzeJoin(n *sqlast.Select, rels []*relation, j joinInfo, level int, crossOK bool) *joinAnalysis {
-	if e.noHashJoin || e.hashJoinBlocked() {
+	if e.off.Has(strategy.HashJoin) || e.hashJoinBlocked() {
 		return nil
 	}
 	vis := rels[:level+1]

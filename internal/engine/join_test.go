@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dialect"
+	"repro/internal/strategy"
 )
 
 // joinTestSchema builds three tables with overlapping key domains,
@@ -46,23 +47,13 @@ func runQuery(e *Engine, sql string) string {
 	return b.String()
 }
 
-// assertJoinEquivalent runs the same query on the hash-enabled and
-// nested-only engines and requires byte-identical results (joins are
-// unordered: both paths must still agree on order because the nested
-// loop's combo order is the specified one and the hash path preserves it).
-func assertJoinEquivalent(t *testing.T, on, off *Engine, sql string) {
-	t.Helper()
-	got, want := runQuery(on, sql), runQuery(off, sql)
-	if got != want {
-		t.Errorf("hash/nested divergence on %q:\nhash path:\n%s\nnested loop:\n%s", sql, got, want)
-	}
-}
-
 // TestHashVsNestedEquivalence is the differential oracle for the join
 // strategies: across all three dialects, a spread of handcrafted and
-// randomly generated join queries must return byte-identical results with
-// hash/index joins enabled and with WithoutHashJoin pinning every level
-// to the nested loop.
+// randomly generated join queries must return byte-identical results on
+// the all-on engine and on every StrategyDiff ablation, including
+// HashJoin disabled, which pins every level to the nested loop. Joins are
+// unordered, yet both paths must agree on order: the nested loop's combo
+// order is the specified one and the hash path preserves it.
 func TestHashVsNestedEquivalence(t *testing.T) {
 	handcrafted := []string{
 		// Pure equi inner joins, single and multi key.
@@ -92,16 +83,16 @@ func TestHashVsNestedEquivalence(t *testing.T) {
 	for _, d := range dialect.All {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
-			on := Open(d)
-			off := Open(d, WithoutHashJoin())
-			joinTestSchema(t, on)
-			joinTestSchema(t, off)
+			sd := NewStrategyDiff(t, d, runQuery)
+			for _, e := range sd.Engines() {
+				joinTestSchema(t, e)
+			}
 			for _, q := range handcrafted {
-				assertJoinEquivalent(t, on, off, q)
+				sd.Check(q)
 			}
 			rnd := rand.New(rand.NewSource(8))
 			for i := 0; i < 150; i++ {
-				assertJoinEquivalent(t, on, off, randomJoinQuery(rnd))
+				sd.Check(randomJoinQuery(rnd))
 			}
 		})
 	}
@@ -209,7 +200,7 @@ func TestHashJoinEdgeCases(t *testing.T) {
 				"INSERT INTO a VALUES (1), (2), (3)",
 				"INSERT INTO b VALUES ('1'), ('2'), ('x')",
 			)
-			eOff := Open(d, WithoutHashJoin())
+			eOff := Open(d, WithDisabled(strategy.HashJoin))
 			execAll(t, eOff,
 				"CREATE TABLE a(k INT)", "CREATE TABLE b(k TEXT)",
 				"INSERT INTO a VALUES (1), (2), (3)",
@@ -321,8 +312,8 @@ func TestJoinStrategyExplain(t *testing.T) {
 		t.Errorf("EXPLAIN QUERY PLAN = %q, want JOIN USING HASH line", all)
 	}
 
-	// Ablation: WithoutHashJoin pins the annotation to nested loop too.
-	off := Open(dialect.SQLite, WithoutHashJoin())
+	// Ablation: disabling strategy.HashJoin pins the annotation to nested loop too.
+	off := Open(dialect.SQLite, WithDisabled(strategy.HashJoin))
 	seedJoinPair(t, off, 40)
 	paths, err = off.PlanSQL("SELECT * FROM big0 JOIN big1 ON big0.k = big1.k")
 	if err != nil {
@@ -372,13 +363,13 @@ func TestHashJoinRuntimeCoverage(t *testing.T) {
 		t.Error("index-lookup join path never executed")
 	}
 
-	off := Open(dialect.SQLite, WithoutHashJoin())
+	off := Open(dialect.SQLite, WithDisabled(strategy.HashJoin))
 	seedJoinPair(t, off, 40)
 	if n := rowCount(t, off, "SELECT * FROM big0 JOIN big1 ON big0.k = big1.k"); n != 40 {
 		t.Fatalf("ablated equi-join returned %d rows, want 40", n)
 	}
 	cov := off.Coverage().Snapshot()
 	if cov["join.hash"] != 0 || cov["join.index-lookup"] != 0 {
-		t.Error("WithoutHashJoin engine still took a non-nested join path")
+		t.Error("HashJoin-disabled engine still took a non-nested join path")
 	}
 }

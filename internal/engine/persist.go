@@ -244,10 +244,23 @@ func (r *imgReader) u64() uint64 {
 
 func (r *imgReader) i64() int64 { return int64(r.u64()) }
 
-func (r *imgReader) str() string {
+// count reads an element count. Every element takes at least one byte, so
+// a count beyond the bytes remaining can only come from a damaged image;
+// it fails as corrupt before anything is sized or looped from it.
+func (r *imgReader) count() int {
 	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
+	if r.err == nil && n > len(r.buf)-r.off {
+		r.err = xerr.New(xerr.CodeCorrupt, "durable image: count %d at byte %d exceeds the %d bytes left", n, r.off-4, len(r.buf)-r.off)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (r *imgReader) str() string {
+	n := r.count()
+	if r.err != nil {
 		return ""
 	}
 	s := string(r.buf[r.off : r.off+n])
@@ -389,7 +402,7 @@ func (e *Engine) loadDurable() error {
 	corrupt := r.str()
 	csLike := r.bool()
 
-	ddl := make([]string, int(r.u32()))
+	ddl := make([]string, r.count())
 	if r.err != nil {
 		return r.err
 	}
@@ -416,22 +429,22 @@ func (e *Engine) loadDurable() error {
 	e.recovering = false
 	e.ddlLog = ddl
 
-	for i, n := 0, int(r.u32()); i < n && r.err == nil; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		name := r.str()
 		e.globals[name] = r.value()
 	}
 
-	for i, n := 0, int(r.u32()); i < n && r.err == nil; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		name := r.str()
 		nextRowid := r.i64()
-		nrows := int(r.u32())
+		nrows := r.count()
 		td := e.data[lower(name)]
 		if td == nil && nrows > 0 {
 			return xerr.New(xerr.CodeCorrupt, "durable image: rows for unknown table %s", name)
 		}
 		for j := 0; j < nrows && r.err == nil; j++ {
 			rowid := r.i64()
-			vals := make([]sqlval.Value, int(r.u32()))
+			vals := make([]sqlval.Value, r.count())
 			for k := range vals {
 				vals[k] = r.value()
 			}
@@ -447,7 +460,7 @@ func (e *Engine) loadDurable() error {
 		}
 	}
 
-	for i, n := 0, int(r.u32()); i < n && r.err == nil; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		key := r.str()
 		flags := r.u8()
 		ts := &tableState{

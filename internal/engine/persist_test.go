@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dialect"
@@ -269,5 +271,109 @@ func TestDurableStatsExposed(t *testing.T) {
 	st, ok := de.PagerStats()
 	if !ok || st.Commits < 2 || st.WalFrames == 0 {
 		t.Fatalf("PagerStats = %+v, ok=%v; want >= 2 commits", st, ok)
+	}
+}
+
+// TestDurableHugeCountIsCorrupt loads crafted short images whose element
+// counts claim far more elements than the image has bytes, at each count
+// site of loadDurable. Each must fail as CodeCorrupt without sizing
+// anything from the count: a count of 2^28 values would otherwise ask for
+// gigabytes.
+func TestDurableHugeCountIsCorrupt(t *testing.T) {
+	const huge = 1 << 28
+	header := func(ddl ...string) *imgWriter {
+		w := &imgWriter{}
+		w.u32(imageMagic)
+		w.u32(imageVersion)
+		w.i64(0)      // seq
+		w.str("")     // corrupt
+		w.bool(false) // case-sensitive LIKE
+		w.u32(uint32(len(ddl)))
+		for _, sql := range ddl {
+			w.str(sql)
+		}
+		return w
+	}
+	images := map[string]func() []byte{
+		"ddl": func() []byte {
+			w := header()
+			w.buf = w.buf[:len(w.buf)-4]
+			w.u32(huge)
+			return w.buf
+		},
+		"string": func() []byte {
+			w := header()
+			w.buf = w.buf[:len(w.buf)-4]
+			w.u32(1)
+			w.u32(huge) // length of the first DDL string
+			return w.buf
+		},
+		"globals": func() []byte {
+			w := header()
+			w.u32(huge)
+			return w.buf
+		},
+		"tables": func() []byte {
+			w := header()
+			w.u32(0) // globals
+			w.u32(huge)
+			return w.buf
+		},
+		"rows": func() []byte {
+			w := header("CREATE TABLE t0(c0 INT)")
+			w.u32(0) // globals
+			w.u32(1) // tables
+			w.str("t0")
+			w.i64(1) // next rowid
+			w.u32(huge)
+			return w.buf
+		},
+		"values": func() []byte {
+			w := header("CREATE TABLE t0(c0 INT)")
+			w.u32(0) // globals
+			w.u32(1) // tables
+			w.str("t0")
+			w.i64(2) // next rowid
+			w.u32(1) // rows
+			w.i64(1) // rowid
+			w.u32(huge)
+			return w.buf
+		},
+		"table state": func() []byte {
+			w := header()
+			w.u32(0) // globals
+			w.u32(0) // tables
+			w.u32(huge)
+			return w.buf
+		},
+	}
+	for name, build := range images {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			pg, err := pager.Open(pager.OS(), dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pg.Commit(build()); err != nil {
+				t.Fatal(err)
+			}
+			if err := pg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e, err := OpenDurable(dialect.SQLite, pager.OS(), dir)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				e.Close()
+				t.Fatal("image with a huge count loaded")
+			}
+			if !xerr.Is(err, xerr.CodeCorrupt) || !strings.Contains(err.Error(), "count") {
+				t.Errorf("err = %v, want CodeCorrupt from the count check", err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > 16<<20 {
+				t.Errorf("loading allocated %d bytes, want a bounded failure", d)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/sqlval"
 	"repro/internal/storage"
+	"repro/internal/strategy"
 	"repro/internal/xerr"
 )
 
@@ -520,7 +521,7 @@ func (e *Engine) planSelect(sel *sqlast.Select) ([]AccessPath, error) {
 // statement's first access path, mirroring the executor's dispatch in
 // project/orderByTopK (agg.go).
 func (e *Engine) annotateAggOrder(sel *sqlast.Select, out []AccessPath) {
-	if e.noHashAgg || len(out) == 0 {
+	if e.off.Has(strategy.HashAgg) || len(out) == 0 {
 		return
 	}
 	if len(sel.GroupBy) > 0 {
@@ -643,7 +644,7 @@ func renderJoinKeys(a *joinAnalysis, rels []*relation, level int, strat JoinStra
 // and inheritance parents (whose scans include child rows absent from the
 // parent's indexes) always take full scans.
 func (e *Engine) plannable(t *schema.Table) bool {
-	return !e.noPlanner && !t.IsView && len(t.Children) == 0
+	return !e.off.Has(strategy.Planner) && !t.IsView && len(t.Children) == 0
 }
 
 // impliedPartialIndex returns the first partial index whose predicate the

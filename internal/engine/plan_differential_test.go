@@ -13,32 +13,40 @@ import (
 	"repro/internal/sqlval"
 )
 
-// replayPair builds the same random database (fault-free) on two engines:
-// one with the planner enabled, one forced to full scans. The statement
-// trace is generated once and executed on both, so catalog, heap, and
-// index state agree exactly.
-func replayPair(t *testing.T, d dialect.Dialect, seed int64) (planned, baseline *engine.Engine) {
+// replayDiff builds the same random database (fault-free) on every engine
+// of a StrategyDiff: the all-on engine and one per disabled set. The
+// statement trace is generated once and executed on all of them, so
+// catalog, heap, and index state agree exactly.
+func replayDiff(t *testing.T, d dialect.Dialect, seed int64) *engine.StrategyDiff {
 	t.Helper()
-	planned = engine.Open(d)
-	baseline = engine.Open(d, engine.WithoutPlanner())
-	sg := &gen.StateGen{Rnd: gen.NewRand(d, seed), E: planned, MinRows: 2, MaxRows: 10, MaxTables: 3}
+	sd := engine.NewStrategyDiff(t, d, renderMultiset)
+	sd.Context = fmt.Sprintf("seed %d: ", seed)
+	sg := &gen.StateGen{Rnd: gen.NewRand(d, seed), E: sd.On, MinRows: 2, MaxRows: 10, MaxTables: 3}
 	apply := func(st sqlast.Stmt) error {
 		sql := sqlast.SQL(st, d)
-		_, err1 := planned.Exec(sql)
-		_, err2 := baseline.Exec(sql)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("seed %d: state statement diverged\nsql: %s\nplanned: %v\nbaseline: %v", seed, sql, err1, err2)
+		_, want := sd.On.Exec(sql)
+		for _, e := range sd.Off {
+			if _, err := e.Exec(sql); (err == nil) != (want == nil) {
+				t.Fatalf("seed %d: state statement diverged with %s disabled\nsql: %s\nall on: %v\ndisabled: %v",
+					seed, e.Disabled(), sql, want, err)
+			}
 		}
 		return nil
 	}
 	if err := sg.BuildDatabase(apply); err != nil {
 		t.Fatalf("seed %d: build: %v", seed, err)
 	}
-	return planned, baseline
+	return sd
 }
 
-// canonical renders a result set as an order-insensitive multiset.
-func canonical(res *engine.Result) string {
+// renderMultiset is the planner suite's comparison: an order-insensitive
+// row multiset, or only the fact of an error (runtime errors may surface
+// on different rows when the access path changes the visit order).
+func renderMultiset(e *engine.Engine, sql string) string {
+	res, err := e.Exec(sql)
+	if err != nil {
+		return "error"
+	}
 	lines := make([]string, 0, len(res.Rows))
 	for _, row := range res.Rows {
 		parts := make([]string, len(row))
@@ -51,32 +59,11 @@ func canonical(res *engine.Result) string {
 	return strings.Join(lines, "\n")
 }
 
-// diffQuery runs one query on both engines and compares result multisets.
-func diffQuery(t *testing.T, d dialect.Dialect, seed int64, planned, baseline *engine.Engine, sql string) {
-	t.Helper()
-	r1, err1 := planned.Exec(sql)
-	r2, err2 := baseline.Exec(sql)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("seed %d: error divergence\nquery: %s\nplanned: %v\nbaseline: %v", seed, sql, err1, err2)
-	}
-	if err1 != nil {
-		return // both failed identically (expected runtime errors)
-	}
-	if c1, c2 := canonical(r1), canonical(r2); c1 != c2 {
-		paths, _ := planned.PlanSQL(sql)
-		var plan []string
-		for _, p := range paths {
-			plan = append(plan, p.Detail())
-		}
-		t.Fatalf("seed %d: scan-vs-index divergence\nquery: %s\nplan: %s\nplanned rows:\n%s\nbaseline rows:\n%s",
-			seed, sql, strings.Join(plan, "; "), c1, c2)
-	}
-}
-
 // TestPlannerDifferential is the planner's primary correctness oracle: for
 // generated queries over indexed random schemas, the planner-chosen access
 // path must produce exactly the full-scan result set, in fault-free mode,
-// across all three dialects. Both systematic sargable probes (every column
+// across all three dialects — and so must every other StrategyDiff
+// ablation. Both systematic sargable probes (every column
 // × every stored value × every comparison operator) and random generated
 // WHERE clauses run against every database.
 func TestPlannerDifferential(t *testing.T) {
@@ -91,7 +78,8 @@ func TestPlannerDifferential(t *testing.T) {
 			t.Parallel()
 			indexPaths := 0
 			for seed := int64(1); seed <= seeds; seed++ {
-				planned, baseline := replayPair(t, d, seed)
+				sd := replayDiff(t, d, seed)
+				planned := sd.On
 				rnd := gen.NewRand(d, seed+1000)
 
 				for _, table := range planned.Tables() {
@@ -118,15 +106,15 @@ func TestPlannerDifferential(t *testing.T) {
 							}
 							for _, lit := range lits {
 								for _, op := range ops {
-									diffQuery(t, d, seed, planned, baseline, fmt.Sprintf(
+									sd.Check(fmt.Sprintf(
 										"SELECT * FROM %s WHERE %s %s %s", table, col.Name, op, lit))
 								}
-								diffQuery(t, d, seed, planned, baseline, fmt.Sprintf(
+								sd.Check(fmt.Sprintf(
 									"SELECT * FROM %s WHERE %s BETWEEN %s AND %s", table, col.Name, lit, lit))
 								if d == dialect.SQLite {
-									diffQuery(t, d, seed, planned, baseline, fmt.Sprintf(
+									sd.Check(fmt.Sprintf(
 										"SELECT * FROM %s WHERE %s COLLATE NOCASE = %s", table, col.Name, lit))
-									diffQuery(t, d, seed, planned, baseline, fmt.Sprintf(
+									sd.Check(fmt.Sprintf(
 										"SELECT DISTINCT %s FROM %s WHERE %s >= %s ORDER BY %s",
 										col.Name, table, col.Name, lit, col.Name))
 								}
@@ -147,7 +135,7 @@ func TestPlannerDifferential(t *testing.T) {
 					for i := 0; i < 25; i++ {
 						where := eg.Generate()
 						sql := fmt.Sprintf("SELECT * FROM %s WHERE %s", table, sqlast.ExprSQL(where, d))
-						diffQuery(t, d, seed, planned, baseline, sql)
+						sd.Check(sql)
 					}
 				}
 				cov := planned.Coverage().Snapshot()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dialect"
 	"repro/internal/faults"
+	"repro/internal/strategy"
 )
 
 func execAll(t *testing.T, e *Engine, sqls ...string) {
@@ -180,8 +181,8 @@ func TestExplainStatement(t *testing.T) {
 	}
 }
 
-func TestWithoutPlannerForcesFullScan(t *testing.T) {
-	e := Open(dialect.SQLite, WithoutPlanner())
+func TestDisabledPlannerForcesFullScan(t *testing.T) {
+	e := Open(dialect.SQLite, WithDisabled(strategy.Planner))
 	seedTable(t, e, 30)
 	p := planFor(t, e, "SELECT * FROM t0 WHERE c0 = 3")
 	if p.Kind != PathFullScan {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
+	"repro/internal/strategy"
 	"repro/internal/xerr"
 )
 
@@ -91,7 +92,7 @@ func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 		// bounded heap instead of sorting everything (agg.go). Ineligible
 		// shapes fall through to the full stable sort.
 		handled := false
-		if !e.noHashAgg && n.Limit != nil {
+		if !e.off.Has(strategy.HashAgg) && n.Limit != nil {
 			handled, outRows, err = e.orderByTopK(n, rels, outRows)
 			if err != nil {
 				return nil, err
@@ -760,7 +761,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 
 	pc := &projCtx{n: n, rels: rels, cols: cols, outNames: outNames,
 		x: x, colFns: colFns, groupKeys: groupKeys}
-	if !e.noHashAgg && streamableAgg(cols) {
+	if !e.off.Has(strategy.HashAgg) && streamableAgg(cols) {
 		return e.projectGroupedHash(pc, combos)
 	}
 	return e.projectGroupedNaive(pc, combos)
@@ -769,7 +770,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 // projectGroupedNaive is the materialized grouped/aggregate projection:
 // groups resolve by a linear keysEqual scan, every group retains its
 // combos, and aggregates re-iterate them per column. It is the ablation
-// baseline (hashagg=off) the streaming path must match byte-for-byte.
+// baseline (strategy.HashAgg disabled) the streaming path must match byte-for-byte.
 func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string, [][]sqlval.Value, error) {
 	n, rels, cols, x, colFns, groupKeys :=
 		pc.n, pc.rels, pc.cols, pc.x, pc.colFns, pc.groupKeys

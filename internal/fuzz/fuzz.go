@@ -12,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/oracle"
 	"repro/internal/sqlast"
+	"repro/internal/strategy"
 	"repro/internal/sut"
 	"repro/internal/xerr"
 )
@@ -30,15 +31,8 @@ type Config struct {
 	// WireFidelity renders and reparses each generated statement instead
 	// of the ExecAST fast path, restoring the fuzzer's parser coverage.
 	WireFidelity bool
-	// NoCompile disables the engine's compiled expression programs
-	// (tree-walk evaluation; the -no-compile escape hatch).
-	NoCompile bool
-	// NoHashJoin pins every join level to the nested loop (the
-	// -no-hashjoin escape hatch).
-	NoHashJoin bool
-	// NoHashAgg forces materialized grouping and full sorts (the
-	// -no-hashagg escape hatch).
-	NoHashAgg bool
+	// Disable turns execution strategies off (the -disable escape hatch).
+	Disable strategy.Set
 }
 
 // Fuzzer drives random statements at the engine and watches for crashes
@@ -71,9 +65,7 @@ func (f *Fuzzer) RunDatabase() (*core.Bug, error) {
 		Dialect:      f.cfg.Dialect,
 		Faults:       f.cfg.Faults,
 		WireFidelity: f.cfg.WireFidelity,
-		NoCompile:    f.cfg.NoCompile,
-		NoHashJoin:   f.cfg.NoHashJoin,
-		NoHashAgg:    f.cfg.NoHashAgg,
+		Disable:      f.cfg.Disable,
 		Storage:      f.cfg.Storage,
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dialect"
 	"repro/internal/faults"
 	"repro/internal/runner"
+	"repro/internal/strategy"
 )
 
 // isolationFaults are the injected transaction-isolation bugs only the
@@ -73,11 +74,11 @@ func TestSerializabilityNoFalsePositives(t *testing.T) {
 		t.Skip("serializability soundness soak is not short")
 	}
 	for _, d := range dialect.All {
-		for _, noCompile := range []bool{false, true} {
-			d, noCompile := d, noCompile
+		for _, off := range []strategy.Set{0, strategy.Compile} {
+			d, off := d, off
 			name := d.String()
-			if noCompile {
-				name += "/no-compile"
+			if off != 0 {
+				name += "/no-" + off.String()
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
@@ -88,7 +89,7 @@ func TestSerializabilityNoFalsePositives(t *testing.T) {
 					Workers:      4,
 					BaseSeed:     1,
 					Oracles:      []string{"serializability"},
-					Tester:       core.Config{NoCompile: noCompile},
+					Tester:       core.Config{Disable: off},
 				})
 				if res.Detected {
 					t.Fatalf("false positive on the sound engine (seed %d): %s\ntrace:\n%v",

@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dialect"
+	"repro/internal/strategy"
 )
 
 // TestOracleFalsePositiveSoak is the soundness guard for the whole oracle
 // registry: against the fault-free engine, N random databases per dialect
 // must produce zero detections under every oracle, through both the
-// compiled-expression path and the -no-compile tree walk. A false positive
+// compiled-expression path and the tree walk (strategy.Compile disabled). A false positive
 // here means either an engine bug or an oracle whose metamorphic identity
 // does not actually hold (e.g. float-order-sensitive aggregation).
 func TestOracleFalsePositiveSoak(t *testing.T) {
@@ -22,22 +23,20 @@ func TestOracleFalsePositiveSoak(t *testing.T) {
 	}
 	for _, d := range dialect.All {
 		for _, name := range []string{"pqs", "tlp", "norec"} {
-			for _, mode := range []struct {
-				label     string
-				noCompile bool
-			}{
-				{"compiled", false},
-				{"no-compile", true},
-			} {
-				d, name, mode := d, name, mode
-				t.Run(fmt.Sprintf("%s/%s/%s", d, name, mode.label), func(t *testing.T) {
+			for _, off := range []strategy.Set{0, strategy.Compile} {
+				d, name, off := d, name, off
+				label := "compiled"
+				if off != 0 {
+					label = "no-" + off.String()
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", d, name, label), func(t *testing.T) {
 					t.Parallel()
 					tester := core.NewTester(core.Config{
 						Dialect:      d,
 						Oracle:       name,
 						Seed:         101,
 						QueriesPerDB: 15,
-						NoCompile:    mode.noCompile,
+						Disable:      off,
 					})
 					for i := 0; i < databases; i++ {
 						bug, err := tester.RunDatabase()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/reduce"
 	"repro/internal/runner"
+	"repro/internal/strategy"
 )
 
 // TestFaultMatrixWireFidelity is the campaign-level boundary check: every
@@ -53,50 +54,97 @@ func TestFaultMatrixWireFidelity(t *testing.T) {
 	}
 }
 
-// TestFaultMatrixCompiledParity sweeps the same 56-fault matrix through
-// the ExecAST fast path twice — once with compiled expression programs
-// (the default since the compiled-eval tentpole) and once with the
-// -no-compile tree walk — proving detection parity: compilation changes
-// how predicates evaluate, never what they evaluate to, so every injected
-// fault keeps firing identically in both modes.
-func TestFaultMatrixCompiledParity(t *testing.T) {
+// strategyFaults is the fault-ownership table: for each execution
+// strategy, the faults injected inside its code path. With the strategy
+// disabled the faulty code never runs, so its faults must go quiet while
+// every other fault keeps firing — the ablation doubles as the bisection
+// tool. The planner's faults corrupt index contents or index choice, so
+// only an index access path can observe them. Compiled programs own no
+// fault: compilation changes how predicates evaluate, never what they
+// evaluate to.
+var strategyFaults = map[strategy.Set][]faults.Fault{
+	strategy.Planner: {
+		faults.CollateIndexOrder, faults.NocaseUniqueIndex, faults.PartialIndexNotNull,
+		faults.PlannerCollationConfusion, faults.RangeScanBoundary, faults.RtrimCompare,
+		faults.SkipScanDistinct, faults.BoolIndexScan,
+	},
+	strategy.Compile:  nil,
+	strategy.HashJoin: {faults.HashJoinCollation, faults.HashJoinNullKey, faults.HashLeftJoinDrop},
+	strategy.HashAgg:  {faults.HashAggCollation, faults.AggAccumulatorNullSkip, faults.TopKHeapBoundary},
+}
+
+// testStrategyParity sweeps the 56-fault matrix through the ExecAST fast
+// path with the strategies in off disabled. Every fault outside those
+// strategies' rows of strategyFaults must still be detected within 1500
+// databases; every owned fault must stay undetected for 300, proving it
+// lives in exactly the code the ablation removes.
+func testStrategyParity(t *testing.T, off strategy.Set) {
 	if testing.Short() {
 		t.Skip("fault matrix sweep is not short")
 	}
-	for _, mode := range []struct {
-		name      string
-		noCompile bool
-	}{
-		{"compiled", false},
-		{"interpreted", true},
-	} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			for _, d := range dialect.All {
-				for _, info := range faults.ForDialect(d) {
-					info := info
-					d := d
-					t.Run(string(info.ID), func(t *testing.T) {
-						t.Parallel()
-						res := runner.Run(runner.Campaign{
-							Dialect:      d,
-							Fault:        info.ID,
-							MaxDatabases: 1500,
-							Workers:      2,
-							BaseSeed:     1,
-							Oracles:      []string{oracle.ForFault(info)},
-							Tester:       core.Config{NoCompile: mode.noCompile},
-						})
-						if !res.Detected {
-							t.Fatalf("fault %s not detected in %s mode within %d databases",
-								info.ID, mode.name, res.Databases)
-						}
-					})
-				}
+	owned := map[faults.Fault]bool{}
+	for s, fs := range strategyFaults {
+		if off.Has(s) {
+			for _, f := range fs {
+				owned[f] = true
 			}
-		})
+		}
+	}
+	for _, d := range dialect.All {
+		for _, info := range faults.ForDialect(d) {
+			info := info
+			d := d
+			t.Run(string(info.ID), func(t *testing.T) {
+				t.Parallel()
+				budget := 1500
+				if owned[info.ID] {
+					budget = 300
+				}
+				res := runner.Run(runner.Campaign{
+					Dialect:      d,
+					Fault:        info.ID,
+					MaxDatabases: budget,
+					Workers:      2,
+					BaseSeed:     1,
+					Oracles:      []string{oracle.ForFault(info)},
+					Tester:       core.Config{Disable: off},
+				})
+				if owned[info.ID] {
+					if res.Detected {
+						t.Fatalf("fault %s detected with its strategy disabled (disable=%s):\n  %s",
+							info.ID, off, strings.Join(res.Bug.Trace, ";\n  "))
+					}
+					return
+				}
+				if !res.Detected {
+					t.Fatalf("fault %s not detected with disable=%s within %d databases",
+						info.ID, off, res.Databases)
+				}
+			})
+		}
 	}
 }
+
+// TestFaultMatrixCompiledParity runs the parity sweep with every strategy
+// on ("compiled") and with compiled expression programs disabled
+// ("interpreted"): every injected fault keeps firing in both modes.
+func TestFaultMatrixCompiledParity(t *testing.T) {
+	t.Run("compiled", func(t *testing.T) { testStrategyParity(t, 0) })
+	t.Run("interpreted", func(t *testing.T) { testStrategyParity(t, strategy.Compile) })
+}
+
+// TestFaultMatrixPlannerParity runs the parity sweep with index access
+// paths disabled: the eight index faults go quiet.
+func TestFaultMatrixPlannerParity(t *testing.T) { testStrategyParity(t, strategy.Planner) }
+
+// TestFaultMatrixHashJoinParity runs the parity sweep with hash and
+// index-lookup joins disabled: the three hash-join faults go quiet.
+func TestFaultMatrixHashJoinParity(t *testing.T) { testStrategyParity(t, strategy.HashJoin) }
+
+// TestFaultMatrixHashAggParity runs the parity sweep with hash
+// aggregation and top-K ordering disabled: the three hash-agg faults go
+// quiet.
+func TestFaultMatrixHashAggParity(t *testing.T) { testStrategyParity(t, strategy.HashAgg) }
 
 // TestCompiledSoundness is the false-positive guard for the compiled
 // path: with no faults injected, the engine (running compiled programs)
@@ -143,131 +191,33 @@ func TestCampaignThroughWireBackend(t *testing.T) {
 	}
 }
 
-// hashJoinFaults are the three faults injected inside the hash-join
-// machinery itself: with -no-hashjoin the faulty code never runs, so the
-// faults must be unreachable (the ablation is also their bisection tool).
-var hashJoinFaults = map[faults.Fault]bool{
-	faults.HashJoinCollation: true,
-	faults.HashJoinNullKey:   true,
-	faults.HashLeftJoinDrop:  true,
+// strategyReductions are the six strategy-owned faults of strategyFaults,
+// each with the dialect and oracle its reduction runs under.
+var strategyReductions = []struct {
+	fault   faults.Fault
+	dialect dialect.Dialect
+	oracle  string
+}{
+	{faults.HashJoinCollation, dialect.SQLite, "pqs"},
+	{faults.HashJoinNullKey, dialect.SQLite, "tlp"},
+	{faults.HashLeftJoinDrop, dialect.Postgres, "tlp"},
+	{faults.HashAggCollation, dialect.SQLite, "pqs"},
+	{faults.AggAccumulatorNullSkip, dialect.SQLite, "tlp"},
+	{faults.TopKHeapBoundary, dialect.MySQL, "pqs"},
 }
 
-// TestFaultMatrixHashJoinParity sweeps the 56-fault matrix with hash and
-// index-lookup joins ablated (NoHashJoin). The 50 non-hash-path faults
-// must keep firing — strategy selection changes how joins execute, never
-// what they return — while the three hash-path faults must go quiet,
-// proving they live in exactly the code the ablation removes. (The
-// hashjoin-on half of the parity claim is the existing
-// TestFaultMatrixWireFidelity / TestFullCorpusDetectable sweeps.)
-func TestFaultMatrixHashJoinParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault matrix sweep is not short")
-	}
-	for _, d := range dialect.All {
-		for _, info := range faults.ForDialect(d) {
-			info := info
-			d := d
-			t.Run(string(info.ID), func(t *testing.T) {
-				t.Parallel()
-				budget := 1500
-				if hashJoinFaults[info.ID] {
-					budget = 300
-				}
-				res := runner.Run(runner.Campaign{
-					Dialect:      d,
-					Fault:        info.ID,
-					MaxDatabases: budget,
-					Workers:      2,
-					BaseSeed:     1,
-					Oracles:      []string{oracle.ForFault(info)},
-					Tester:       core.Config{NoHashJoin: true},
-				})
-				if hashJoinFaults[info.ID] {
-					if res.Detected {
-						t.Fatalf("hash-path fault %s detected with hash joins ablated:\n  %s",
-							info.ID, strings.Join(res.Bug.Trace, ";\n  "))
-					}
-					return
-				}
-				if !res.Detected {
-					t.Fatalf("fault %s not detected with -no-hashjoin in %d databases",
-						info.ID, res.Databases)
-				}
-			})
-		}
-	}
-}
-
-// hashAggFaults are the three faults injected inside the hash-aggregation
-// and top-K ordering machinery: with -no-hashagg the engine falls back to
-// materialized grouping and full sorts, the faulty code never runs, and
-// the faults must be unreachable (the ablation doubles as bisection).
-var hashAggFaults = map[faults.Fault]bool{
-	faults.HashAggCollation:       true,
-	faults.AggAccumulatorNullSkip: true,
-	faults.TopKHeapBoundary:       true,
-}
-
-// TestFaultMatrixHashAggParity sweeps the 56-fault matrix with hash
-// aggregation and top-K ordering ablated (NoHashAgg). The 53 faults
-// outside the hash-agg path must keep firing — aggregation strategy
-// changes how groups accumulate, never what they contain — while the
-// three hash-agg faults must go quiet, proving they live in exactly the
-// code the ablation removes. (The hashagg-on half of the parity claim is
-// the existing TestFaultMatrixWireFidelity / TestFullCorpusDetectable
-// sweeps.)
-func TestFaultMatrixHashAggParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault matrix sweep is not short")
-	}
-	for _, d := range dialect.All {
-		for _, info := range faults.ForDialect(d) {
-			info := info
-			d := d
-			t.Run(string(info.ID), func(t *testing.T) {
-				t.Parallel()
-				budget := 1500
-				if hashAggFaults[info.ID] {
-					budget = 300
-				}
-				res := runner.Run(runner.Campaign{
-					Dialect:      d,
-					Fault:        info.ID,
-					MaxDatabases: budget,
-					Workers:      2,
-					BaseSeed:     1,
-					Oracles:      []string{oracle.ForFault(info)},
-					Tester:       core.Config{NoHashAgg: true},
-				})
-				if hashAggFaults[info.ID] {
-					if res.Detected {
-						t.Fatalf("hash-agg fault %s detected with hash aggregation ablated:\n  %s",
-							info.ID, strings.Join(res.Bug.Trace, ";\n  "))
-					}
-					return
-				}
-				if !res.Detected {
-					t.Fatalf("fault %s not detected with -no-hashagg in %d databases",
-						info.ID, res.Databases)
-				}
-			})
-		}
-	}
-}
-
-// TestHashAggFaultReduction proves the three hash-agg faults reduce to
+// testFaultReduction proves the faults owned by one strategy reduce to
 // replayable repro scripts, like the rest of the corpus: the reducer's
 // checker must reproduce on a faulty engine and stay quiet on a clean one.
-func TestHashAggFaultReduction(t *testing.T) {
-	for _, tc := range []struct {
-		fault   faults.Fault
-		dialect dialect.Dialect
-		oracle  string
-	}{
-		{faults.HashAggCollation, dialect.SQLite, "pqs"},
-		{faults.AggAccumulatorNullSkip, dialect.SQLite, "tlp"},
-		{faults.TopKHeapBoundary, dialect.MySQL, "pqs"},
-	} {
+func testFaultReduction(t *testing.T, owner strategy.Set) {
+	ours := map[faults.Fault]bool{}
+	for _, f := range strategyFaults[owner] {
+		ours[f] = true
+	}
+	for _, tc := range strategyReductions {
+		if !ours[tc.fault] {
+			continue
+		}
 		tc := tc
 		t.Run(string(tc.fault), func(t *testing.T) {
 			t.Parallel()
@@ -297,44 +247,8 @@ func TestHashAggFaultReduction(t *testing.T) {
 	}
 }
 
-// TestHashJoinFaultReduction proves the three hash-join faults reduce to
-// replayable repro scripts, like the rest of the corpus: the reducer's
-// checker must reproduce on a faulty engine and stay quiet on a clean one.
-func TestHashJoinFaultReduction(t *testing.T) {
-	for _, tc := range []struct {
-		fault   faults.Fault
-		dialect dialect.Dialect
-		oracle  string
-	}{
-		{faults.HashJoinCollation, dialect.SQLite, "pqs"},
-		{faults.HashJoinNullKey, dialect.SQLite, "tlp"},
-		{faults.HashLeftJoinDrop, dialect.Postgres, "tlp"},
-	} {
-		tc := tc
-		t.Run(string(tc.fault), func(t *testing.T) {
-			t.Parallel()
-			res := runner.Run(runner.Campaign{
-				Dialect:      tc.dialect,
-				Fault:        tc.fault,
-				MaxDatabases: 1500,
-				BaseSeed:     1,
-				Reduce:       true,
-				Oracles:      []string{tc.oracle},
-			})
-			if !res.Detected {
-				t.Fatalf("%s not detected", tc.fault)
-			}
-			if len(res.Reduced) == 0 || len(res.Reduced) > len(res.Bug.Trace) {
-				t.Fatalf("reduction produced %d statements from %d", len(res.Reduced), len(res.Bug.Trace))
-			}
-			check := reduce.CheckerFor(res.Bug, tc.dialect, faults.NewSet(tc.fault))
-			if !check(res.Reduced) {
-				t.Fatalf("reduced trace no longer reproduces:\n  %s", strings.Join(res.Reduced, ";\n  "))
-			}
-			clean := reduce.CheckerFor(res.Bug, tc.dialect, nil)
-			if clean(res.Reduced) {
-				t.Fatalf("checker reproduces on the fault-free engine:\n  %s", strings.Join(res.Reduced, ";\n  "))
-			}
-		})
-	}
-}
+// TestHashJoinFaultReduction reduces the three hash-join faults.
+func TestHashJoinFaultReduction(t *testing.T) { testFaultReduction(t, strategy.HashJoin) }
+
+// TestHashAggFaultReduction reduces the three hash-agg faults.
+func TestHashAggFaultReduction(t *testing.T) { testFaultReduction(t, strategy.HashAgg) }

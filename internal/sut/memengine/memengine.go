@@ -28,21 +28,9 @@ type driverImpl struct{}
 // page-file + WAL backend in a private temp directory over a
 // crash-simulating VFS; Close removes the directory.
 func (driverImpl) Open(s sut.Session) (sut.DB, error) {
-	var opts []engine.Option
+	opts := []engine.Option{engine.WithDisabled(s.Disable)}
 	if s.Faults != nil {
 		opts = append(opts, engine.WithFaults(s.Faults))
-	}
-	if s.NoPlanner {
-		opts = append(opts, engine.WithoutPlanner())
-	}
-	if s.NoCompile {
-		opts = append(opts, engine.WithoutCompiledEval())
-	}
-	if s.NoHashJoin {
-		opts = append(opts, engine.WithoutHashJoin())
-	}
-	if s.NoHashAgg {
-		opts = append(opts, engine.WithoutHashAgg())
 	}
 	switch s.Storage {
 	case "", "memory":
@@ -75,13 +63,13 @@ type DB struct {
 }
 
 // Wrap adapts a caller-constructed engine (white-box tests, coverage
-// harnesses) into a sut.DB. The session's Dialect and Faults fields are
-// overwritten from the engine so those two cannot disagree; the caller
-// is responsible for passing a session whose remaining fields (e.g.
-// NoPlanner) match how the engine was opened.
+// harnesses) into a sut.DB. The session's Dialect, Faults and Disable
+// fields are overwritten from the engine so they cannot disagree with how
+// it was opened.
 func Wrap(e *engine.Engine, sess sut.Session) *DB {
 	sess.Dialect = e.Dialect()
 	sess.Faults = e.Faults()
+	sess.Disable = e.Disabled()
 	return &DB{e: e, sess: sess}
 }
 

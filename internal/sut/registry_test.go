@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/dialect"
+	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/strategy"
 	"repro/internal/sut"
+	"repro/internal/sut/memengine"
 )
 
 func TestRegistry(t *testing.T) {
@@ -58,9 +61,13 @@ func TestSessionOptionsReachBackend(t *testing.T) {
 				t.Error("session fault set lost")
 			}
 
-			// NoPlanner forces full scans: Plan must not report an index.
-			np := mustOpen(t, backend, sut.Session{Dialect: dialect.SQLite, NoPlanner: true})
+			// Disabling the planner forces full scans: Plan must not
+			// report an index.
+			np := mustOpen(t, backend, sut.Session{Dialect: dialect.SQLite, Disable: strategy.Planner})
 			defer np.Close()
+			if got := np.Session().Disable; got != strategy.Planner {
+				t.Errorf("session disabled set = %q, want planner", got)
+			}
 			for _, sql := range []string{
 				"CREATE TABLE t0(c0 INT)",
 				"CREATE INDEX i0 ON t0(c0)",
@@ -76,9 +83,16 @@ func TestSessionOptionsReachBackend(t *testing.T) {
 			}
 			for _, p := range paths {
 				if strings.Contains(strings.ToUpper(p), "INDEX") {
-					t.Errorf("planner=off still chose an index path: %q", p)
+					t.Errorf("disabled planner still chose an index path: %q", p)
 				}
 			}
 		})
+	}
+
+	// memengine.Wrap takes the disabled set from the engine, like Dialect
+	// and Faults, whatever session the caller passes.
+	e := engine.Open(dialect.SQLite, engine.WithDisabled(strategy.Planner))
+	if got := memengine.Wrap(e, sut.Session{Disable: strategy.HashAgg}).Session().Disable; got != strategy.Planner {
+		t.Errorf("Wrap session disabled set = %q, want planner", got)
 	}
 }

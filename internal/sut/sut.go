@@ -28,6 +28,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
+	"repro/internal/strategy"
 	"repro/internal/xerr"
 )
 
@@ -48,20 +49,11 @@ type Session struct {
 	Dialect dialect.Dialect
 	// Faults is the injected-bug set (nil = sound engine).
 	Faults *faults.Set
-	// NoPlanner forces full table scans (the scan-vs-index differential
-	// baseline; engine.WithoutPlanner).
-	NoPlanner bool
-	// NoCompile disables compiled expression programs: every clause
-	// evaluates through the tree-walk interpreter (the compiled-vs-
-	// interpreted differential baseline; engine.WithoutCompiledEval).
-	NoCompile bool
-	// NoHashJoin pins every join level to the nested-loop operator (the
-	// hash-vs-nested differential baseline; engine.WithoutHashJoin).
-	NoHashJoin bool
-	// NoHashAgg forces materialized grouping and full sorts — no hash
-	// aggregation, no top-K ORDER BY/LIMIT (the hash-agg differential
-	// baseline; engine.WithoutHashAgg).
-	NoHashAgg bool
+	// Disable turns execution strategies off, pinning each to its naive
+	// counterpart (engine.WithDisabled): the baseline half of every
+	// strategy differential, and the tool that bisects a detection to the
+	// code path it lives in.
+	Disable strategy.Set
 	// WireFidelity makes ExecAST render the statement to SQL and reparse
 	// it before executing — today's string round trip, kept as an opt-in
 	// for parser coverage. The default is the direct-AST fast path where

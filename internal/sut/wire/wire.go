@@ -44,17 +44,8 @@ func (driverImpl) Open(s sut.Session) (sut.DB, error) {
 		}
 		params = append(params, "fault="+strings.Join(names, ","))
 	}
-	if s.NoPlanner {
-		params = append(params, "planner=off")
-	}
-	if s.NoCompile {
-		params = append(params, "compile=off")
-	}
-	if s.NoHashJoin {
-		params = append(params, "hashjoin=off")
-	}
-	if s.NoHashAgg {
-		params = append(params, "hashagg=off")
+	if s.Disable != 0 {
+		params = append(params, "disable="+s.Disable.String())
 	}
 	if s.Storage != "" && s.Storage != "memory" {
 		params = append(params, "storage="+s.Storage)
