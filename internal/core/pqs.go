@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/dialect"
-	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/interp"
@@ -57,9 +56,7 @@ type Config struct {
 	WireFidelity bool
 	// Disable turns execution strategies off for every database (the
 	// `-disable` escape hatch for A/B runs and bisection; see DESIGN.md
-	// "Execution strategies"). With strategy.Compile disabled, the
-	// UseEngineAsOracle ablation's pivot checks fall back to tree walks
-	// too.
+	// "Execution strategies").
 	Disable strategy.Set
 
 	// MaxExprDepth bounds generated expression trees (Algorithm 1's
@@ -159,13 +156,6 @@ type Tester struct {
 	// retains these past one iteration).
 	colsBuf  []gen.ColumnPick
 	hintsBuf []sqlval.Value
-
-	// pivotLay/pivotFrame are the compiled pivot-check state of the
-	// engine-as-oracle ablation, rebuilt by bindPivot each iteration
-	// (nil/empty when the independent interpreter is the oracle or
-	// compilation is disabled).
-	pivotLay   *pivotLayout
-	pivotFrame eval.Frame
 }
 
 // NewTester creates a tester.
@@ -578,16 +568,16 @@ func (t *Tester) negativeIteration(db sut.DB, pivots []pivotRow, ctx *interp.Con
 // expression is modified to evaluate FALSE on the pivot row.
 func (t *Tester) falsifiedCondition(ctx *interp.Context, cols []gen.ColumnPick, hints []sqlval.Value) (sqlast.Expr, bool) {
 	eg := &gen.ExprGen{Rnd: t.rnd, Cols: cols, Hints: hints, ColValues: pivotColValues(cols, hints), MaxDepth: t.cfg.MaxExprDepth}
-	evalExpr, evalWrapped := t.condOracle(ctx)
+	evalBool := t.condOracle(ctx)
 	for tries := 0; tries < 20; tries++ {
 		expr := eg.Generate()
-		tb, err := evalExpr(expr)
+		tb, err := evalBool(expr)
 		if err != nil {
 			t.stats.Discarded++
 			continue
 		}
 		falsified := RectifyFalse(expr, tb)
-		if check, err := evalWrapped(expr, falsified); err != nil || check != sqlval.TriFalse {
+		if check, err := evalBool(falsified); err != nil || check != sqlval.TriFalse {
 			t.stats.Discarded++
 			continue
 		}
@@ -656,81 +646,35 @@ func (t *Tester) bindPivot(intro sut.Introspection, pivots []pivotRow, sg *gen.S
 		hints = append(hints, sg.Hints...)
 	}
 	t.colsBuf, t.hintsBuf = cols, hints
-	t.pivotLay, t.pivotFrame = nil, eval.Frame{}
-	if t.cfg.UseEngineAsOracle && !t.cfg.Disable.Has(strategy.Compile) {
-		t.pivotLay = newPivotLayout(cols)
-		t.pivotFrame = eval.Frame{Rows: [][]sqlval.Value{pivotColValues(cols, hints)}}
-	}
 	return ctx, cols, hints
 }
 
-// condOracle returns the evaluator pair the condition loops use: evalExpr
-// evaluates a freshly generated expression on the pivot row, evalWrapped
-// re-checks the rectified wrapper built around the expression evalExpr saw
-// last. The default oracle stays the independent tree-walk interpreter
-// (Algorithm 2 shares no evaluation machinery with the engine — compiled
-// or otherwise — which is what keeps evaluator bugs observable). Under the
-// UseEngineAsOracle ablation the predicate compiles once per candidate
-// against the pivot layout, and the verification re-check wraps the
-// already-compiled program instead of re-walking the whole tree.
-func (t *Tester) condOracle(ctx *interp.Context) (
-	evalExpr func(sqlast.Expr) (sqlval.TriBool, error),
-	evalWrapped func(orig, wrapped sqlast.Expr) (sqlval.TriBool, error),
-) {
+// condOracle returns the predicate evaluator the condition loops use on
+// the pivot row. The default oracle is the independent tree-walk
+// interpreter (Algorithm 2 shares no evaluation machinery with the engine,
+// which is what keeps evaluator bugs observable); the UseEngineAsOracle
+// ablation tree-walks the engine's own evaluator instead.
+func (t *Tester) condOracle(ctx *interp.Context) func(sqlast.Expr) (sqlval.TriBool, error) {
 	if !t.cfg.UseEngineAsOracle {
 		return func(e sqlast.Expr) (sqlval.TriBool, error) {
-				return interp.EvalBool(e, ctx)
-			}, func(_, wrapped sqlast.Expr) (sqlval.TriBool, error) {
-				return interp.EvalBool(wrapped, ctx)
-			}
+			return interp.EvalBool(e, ctx)
+		}
 	}
 	ev := engineEvaluatorFor(t.cfg, ctx)
-	if t.pivotLay == nil {
-		env := &ctxEnv{ctx: ctx}
-		return func(e sqlast.Expr) (sqlval.TriBool, error) {
-				return ev.EvalBool(e, env)
-			}, func(_, wrapped sqlast.Expr) (sqlval.TriBool, error) {
-				return ev.EvalBool(wrapped, env)
-			}
+	env := &ctxEnv{ctx: ctx}
+	return func(e sqlast.Expr) (sqlval.TriBool, error) {
+		return ev.EvalBool(e, env)
 	}
-	var lastExpr sqlast.Expr
-	var lastProg *eval.Program
-	evalExpr = func(e sqlast.Expr) (sqlval.TriBool, error) {
-		prog, err := ev.Compile(e, t.pivotLay)
-		if err != nil {
-			return sqlval.TriUnknown, err
-		}
-		lastExpr, lastProg = e, prog
-		return prog.EvalBool(&t.pivotFrame)
-	}
-	evalWrapped = func(orig, wrapped sqlast.Expr) (sqlval.TriBool, error) {
-		if wrapped == orig && orig == lastExpr && lastProg != nil {
-			return lastProg.EvalBool(&t.pivotFrame)
-		}
-		if u, ok := wrapped.(*sqlast.Unary); ok && u.X == lastExpr && lastProg != nil {
-			prog, err := ev.CompileWrapped(u, lastProg, t.pivotLay)
-			if err != nil {
-				return sqlval.TriUnknown, err
-			}
-			return prog.EvalBool(&t.pivotFrame)
-		}
-		prog, err := ev.Compile(wrapped, t.pivotLay)
-		if err != nil {
-			return sqlval.TriUnknown, err
-		}
-		return prog.EvalBool(&t.pivotFrame)
-	}
-	return evalExpr, evalWrapped
 }
 
 // rectifiedCondition implements steps 3–4: generate a random expression,
 // evaluate it on the pivot row, and modify it to yield TRUE (Algorithm 3).
 func (t *Tester) rectifiedCondition(ctx *interp.Context, cols []gen.ColumnPick, hints []sqlval.Value) (sqlast.Expr, bool) {
 	eg := &gen.ExprGen{Rnd: t.rnd, Cols: cols, Hints: hints, ColValues: pivotColValues(cols, hints), MaxDepth: t.cfg.MaxExprDepth}
-	evalExpr, evalWrapped := t.condOracle(ctx)
+	evalBool := t.condOracle(ctx)
 	for tries := 0; tries < 20; tries++ {
 		expr := eg.Generate()
-		tb, err := evalExpr(expr)
+		tb, err := evalBool(expr)
 		if err != nil {
 			t.stats.Discarded++
 			continue
@@ -747,7 +691,7 @@ func (t *Tester) rectifiedCondition(ctx *interp.Context, cols []gen.ColumnPick, 
 		t.stats.Rectified[tb]++
 		rectified := Rectify(expr, tb)
 		// Sanity: the rectified condition must evaluate TRUE.
-		if check, err := evalWrapped(expr, rectified); err != nil || check != sqlval.TriTrue {
+		if check, err := evalBool(rectified); err != nil || check != sqlval.TriTrue {
 			t.stats.Discarded++
 			continue
 		}
@@ -757,7 +701,7 @@ func (t *Tester) rectifiedCondition(ctx *interp.Context, cols []gen.ColumnPick, 
 }
 
 // evalValue computes a result-column expression's expected value through
-// the configured oracle (see evalBool).
+// the configured oracle (see condOracle).
 func (t *Tester) evalValue(expr sqlast.Expr, ctx *interp.Context) (sqlval.Value, error) {
 	if !t.cfg.UseEngineAsOracle {
 		return interp.Eval(expr, ctx)
@@ -1022,7 +966,7 @@ func (t *Tester) equiJoinOn(ctx *interp.Context, cols []gen.ColumnPick, hints []
 	if len(hints) < len(cols) {
 		return nil, false
 	}
-	evalExpr, _ := t.condOracle(ctx)
+	evalBool := t.condOracle(ctx)
 	type cand struct {
 		x       sqlast.Expr
 		variant bool // equal only under an explicit non-binary collation
@@ -1052,7 +996,7 @@ func (t *Tester) equiJoinOn(ctx *interp.Context, cols []gen.ColumnPick, hints []
 				}
 			}
 			x := &sqlast.Binary{Op: sqlast.OpEq, L: l, R: r}
-			if tb, err := evalExpr(x); err != nil || tb != sqlval.TriTrue {
+			if tb, err := evalBool(x); err != nil || tb != sqlval.TriTrue {
 				continue
 			}
 			cands = append(cands, cand{x: x, variant: variant})

@@ -56,8 +56,9 @@ type aggCol struct {
 	bindErr  error
 }
 
-// bind resolves the argument program (lazily: the materialized path binds
-// per group inside the output loop, so zero-group queries never bind).
+// bind resolves the argument program once, on first use: both grouped
+// paths call it inside their per-group loops, so zero-group queries never
+// bind and a bad argument errors only once a group exists.
 func (ac *aggCol) bind(x *exprEval) {
 	if ac.bound {
 		return

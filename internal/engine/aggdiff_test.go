@@ -39,6 +39,10 @@ func aggTestSchema(t *testing.T, e *Engine) {
 // (first-seen key order), as is ordered output under ORDER BY/LIMIT —
 // top-K must reproduce the full sort's stable tie order exactly.
 func TestHashAggVsMaterializedEquivalence(t *testing.T) {
+	const (
+		badArgEmpty   = "SELECT k, SUM(nosuch) FROM empty0 GROUP BY k"
+		badArgGrouped = "SELECT k, SUM(nosuch) FROM g0 GROUP BY k"
+	)
 	handcrafted := []string{
 		// NULL group keys collapse into one group on both paths.
 		"SELECT k, COUNT(*) FROM g0 GROUP BY k",
@@ -61,6 +65,10 @@ func TestHashAggVsMaterializedEquivalence(t *testing.T) {
 		"SELECT k, SUM(v) FROM g0 GROUP BY k HAVING SUM(v) > 25",
 		"SELECT k, SUM(v) FROM g0 GROUP BY k HAVING COUNT(*) > 99",
 		"SELECT k, COUNT(*) FROM empty0 GROUP BY k HAVING COUNT(*) > 0",
+		// A bad aggregate argument binds once per output column, on the
+		// first group: no group, no error; with groups, the same error.
+		badArgEmpty,
+		badArgGrouped,
 		// Aggregates of expressions and DISTINCT over grouped output.
 		"SELECT k, SUM(v + 1) FROM g0 GROUP BY k",
 		"SELECT DISTINCT COUNT(*) FROM g0 GROUP BY k",
@@ -89,6 +97,14 @@ func TestHashAggVsMaterializedEquivalence(t *testing.T) {
 			}
 			for _, q := range handcrafted {
 				sd.Check(q)
+			}
+			for _, e := range sd.Engines() {
+				if _, err := e.Exec(badArgEmpty); err != nil {
+					t.Errorf("disable=%s: %s: %v, want no error", e.Disabled(), badArgEmpty, err)
+				}
+				if _, err := e.Exec(badArgGrouped); err == nil || !strings.Contains(err.Error(), "no such column") {
+					t.Errorf("disable=%s: %s: %v, want no such column", e.Disabled(), badArgGrouped, err)
+				}
 			}
 			rnd := rand.New(rand.NewSource(10))
 			for i := 0; i < 150; i++ {

@@ -61,9 +61,10 @@ func TestAmbiguousColumnDistinctError(t *testing.T) {
 	}
 }
 
-// TestProgramCacheInvalidation re-executes the same statement AST across a
-// schema change: cached slot bindings must not survive DDL.
-func TestProgramCacheInvalidation(t *testing.T) {
+// TestReexecutedStatementRebindsAfterDDL re-executes the same statement
+// AST across a schema change: each execution compiles against the current
+// schema, so slot bindings never survive DDL.
+func TestReexecutedStatementRebindsAfterDDL(t *testing.T) {
 	e := Open(dialect.SQLite)
 	mustExec := func(s string) {
 		t.Helper()
@@ -77,7 +78,7 @@ func TestProgramCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ { // second run hits the program cache
+	for i := 0; i < 2; i++ {
 		res, err := e.ExecStmt(sel)
 		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int64() != 1 {
 			t.Fatalf("run %d: %v, %v", i, res, err)

@@ -172,18 +172,21 @@ func (e *Engine) createIndex(n *sqlast.CreateIndex) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The index keeps its own copies of the part and WHERE expressions:
+	// RENAME COLUMN rewrites them in place, and the caller's statement
+	// must keep naming the columns it was written against.
 	ix := &schema.Index{
 		Name:                   n.Name,
 		Table:                  t.Name,
 		Unique:                 n.Unique,
-		Where:                  n.Where,
+		Where:                  sqlast.CloneExpr(n.Where),
 		BuildSeq:               e.seq,
 		BuildCaseSensitiveLike: e.caseSensitiveLike,
 	}
 	var colls []sqlval.Collation
 	var descs []bool
 	for _, p := range n.Parts {
-		part := schema.IndexPart{X: p.X, Desc: p.Desc}
+		part := schema.IndexPart{X: sqlast.CloneExpr(p.X), Desc: p.Desc}
 		coll := sqlval.CollBinary
 		if p.Collate != "" {
 			c, ok := sqlval.ParseCollation(p.Collate)

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dialect"
 	"repro/internal/faults"
+	"repro/internal/sqlast"
+	"repro/internal/sqlparse"
 	"repro/internal/sqlval"
 	"repro/internal/xerr"
 )
@@ -540,6 +543,34 @@ func TestAlterAndDrop(t *testing.T) {
 	mustExec(t, e, `DROP TABLE t9`)
 	if _, err := e.Exec(`SELECT * FROM t9`); !xerr.Is(err, xerr.CodeNoObject) {
 		t.Errorf("dropped table: %v", err)
+	}
+}
+
+// TestRenameColumnLeavesCreateIndexIntact is the regression test for
+// RENAME COLUMN rewriting the index expressions in place: the catalog held
+// the caller's CREATE INDEX nodes, so a trace rendered after the rename
+// showed the index on a column that did not exist yet when it was built.
+func TestRenameColumnLeavesCreateIndexIntact(t *testing.T) {
+	e := Open(dialect.SQLite)
+	seedTable(t, e, 50)
+	ci, err := sqlparse.ParseOne("CREATE INDEX i1 ON t0(c1) WHERE c1 IS NOT NULL", dialect.SQLite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ExecStmt(ci); err != nil {
+		t.Fatal(err)
+	}
+	before := sqlast.SQL(ci, dialect.SQLite)
+	mustExec(t, e, "ALTER TABLE t0 RENAME COLUMN c1 TO r87")
+	if after := sqlast.SQL(ci, dialect.SQLite); after != before || strings.Contains(after, "r87") {
+		t.Errorf("CREATE INDEX statement changed by the rename:\n before %s\n after  %s", before, after)
+	}
+	const q = "SELECT c0 FROM t0 WHERE r87 = 'v7' AND r87 IS NOT NULL"
+	if p := planFor(t, e, q); p.Index != "i1" {
+		t.Errorf("plan after rename = %s, want partial index i1", p.Detail())
+	}
+	if n := rowCount(t, e, q); n != 1 {
+		t.Errorf("lookup through renamed column: %d rows, want 1", n)
 	}
 }
 

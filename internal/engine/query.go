@@ -825,6 +825,10 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 			return nil, nil, err
 		}
 	}
+	// One aggCol per output column: an aggregate's argument binds on the
+	// first group that reaches it and every later group reuses the binding
+	// (zero-group queries never bind, as in the streaming path).
+	aggs := make([]aggCol, len(cols))
 	var rows [][]sqlval.Value
 	for _, g := range groups {
 		rep := make([]*rowVals, len(rels)) // all-NULL row for empty groups
@@ -854,7 +858,8 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 				continue
 			}
 			if fc, ok := isAggregate(c.x); ok {
-				v, err := e.aggregate(fc, x, g.combos)
+				aggs[i].fc = fc
+				v, err := e.aggregate(&aggs[i], x, g.combos)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -895,11 +900,11 @@ func keysEqual(a, b []sqlval.Value) bool {
 	return true
 }
 
-// aggregate computes one aggregate over a group. The argument expression
-// binds through the statement's exprEval, so the compiled program is
-// shared across every group of the statement (the engine's program cache
-// keys by AST node).
-func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, combos [][]*rowVals) (sqlval.Value, error) {
+// aggregate computes one aggregate over a group. The argument binds
+// through ac (aggCol.bind), so one program serves every group of the
+// statement.
+func (e *Engine) aggregate(ac *aggCol, x *exprEval, combos [][]*rowVals) (sqlval.Value, error) {
+	fc := ac.fc
 	e.cov.hit("dql.aggregate." + strings.ToUpper(fc.Name))
 	up := strings.ToUpper(fc.Name)
 	// Fault site (sqlite.agg-empty-group): an aggregate whose filtered
@@ -921,14 +926,14 @@ func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, combos [][]*rowVals
 	if len(fc.Args) != 1 {
 		return sqlval.Null(), xerr.New(xerr.CodeType, "aggregate %s expects one argument", fc.Name)
 	}
-	argFn, err := x.valueFn(fc.Args[0])
-	if err != nil {
-		return sqlval.Null(), err
+	ac.bind(x)
+	if ac.bindErr != nil {
+		return sqlval.Null(), ac.bindErr
 	}
 	var vals []sqlval.Value
 	for _, combo := range combos {
 		x.setRow(combo)
-		v, err := argFn()
+		v, err := ac.argFn()
 		if err != nil {
 			return sqlval.Null(), err
 		}

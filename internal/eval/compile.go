@@ -116,62 +116,6 @@ func (ev *Evaluator) Compile(e sqlast.Expr, lay Layout) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Seal the metadata env: pre-resolve every reference the fault helpers
-	// could consult at run time, then drop the layout. Programs outlive
-	// their statement's execution (the engine caches them), and a retained
-	// layout would pin the statement's materialized relations — row
-	// snapshots included — until the cache clears.
-	c.menv.seal(e)
-	return &Program{ev: ev, root: t}, nil
-}
-
-// CompileWrapped compiles a rectification-style unary wrapper (NOT /
-// IS NULL / IS NOT NULL) around an already-compiled inner program without
-// re-walking the inner tree — the PQS sanity re-check evaluates the
-// wrapped predicate right after the original, and recompiling the whole
-// condition per verification would cost a full extra walk. Wrapper shapes
-// the structural fault rewrites inspect (NOT over NOT, NOT over IS NULL)
-// fall back to a full compile so fault semantics stay exact.
-func (ev *Evaluator) CompileWrapped(n *sqlast.Unary, inner *Program, lay Layout) (*Program, error) {
-	if n.Op == sqlast.OpNot {
-		if in, ok := n.X.(*sqlast.Unary); ok && (in.Op == sqlast.OpNot || in.Op == sqlast.OpIsNull) {
-			return ev.Compile(n, lay)
-		}
-	}
-	x := inner.root
-	var t thunk
-	switch n.Op {
-	case sqlast.OpNot:
-		t = func(f *Frame) (sqlval.Value, error) {
-			v, err := x(f)
-			if err != nil {
-				return sqlval.Null(), err
-			}
-			tb, err := ev.Truthy(v)
-			if err != nil {
-				return sqlval.Null(), err
-			}
-			return ev.boolVal(tb.Not()), nil
-		}
-	case sqlast.OpIsNull:
-		t = func(f *Frame) (sqlval.Value, error) {
-			v, err := x(f)
-			if err != nil {
-				return sqlval.Null(), err
-			}
-			return ev.boolVal(sqlval.TriOf(v.IsNull())), nil
-		}
-	case sqlast.OpNotNull:
-		t = func(f *Frame) (sqlval.Value, error) {
-			v, err := x(f)
-			if err != nil {
-				return sqlval.Null(), err
-			}
-			return ev.boolVal(sqlval.TriOf(!v.IsNull())), nil
-		}
-	default:
-		return ev.Compile(n, lay)
-	}
 	return &Program{ev: ev, root: t}, nil
 }
 
@@ -195,17 +139,11 @@ func (b *boundMetaEnv) ColumnValue(string, string) (sqlval.Value, bool) {
 	return sqlval.Null(), false
 }
 
-// ColumnMeta implements Env over the layout, with memoization. After seal
-// the memo is the entire universe: the helpers only ever ask about
-// references that appear in the compiled expression, all of which seal
-// pre-resolved.
+// ColumnMeta implements Env over the layout, with memoization.
 func (b *boundMetaEnv) ColumnMeta(table, column string) (Meta, bool) {
 	k := [2]string{table, column}
 	if e, hit := b.memo[k]; hit {
 		return e.m, e.ok
-	}
-	if b.lay == nil {
-		return Meta{}, false
 	}
 	_, m, err := b.lay.Resolve(table, column)
 	e := metaMemo{m: m, ok: err == nil}
@@ -214,19 +152,6 @@ func (b *boundMetaEnv) ColumnMeta(table, column string) (Meta, bool) {
 	}
 	b.memo[k] = e
 	return e.m, e.ok
-}
-
-// seal memoizes the metadata of every column reference in e and releases
-// the layout, so the finished Program retains slots and metadata only —
-// never the relations (and rows) the layout was built over.
-func (b *boundMetaEnv) seal(e sqlast.Expr) {
-	sqlast.WalkExprs(e, func(x sqlast.Expr) bool {
-		if cr, ok := x.(*sqlast.ColumnRef); ok {
-			b.ColumnMeta(cr.Table, cr.Column)
-		}
-		return true
-	})
-	b.lay = nil
 }
 
 // compiler carries one Compile invocation's state.

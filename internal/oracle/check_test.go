@@ -238,3 +238,40 @@ func TestMetamorphicReduction(t *testing.T) {
 		})
 	}
 }
+
+// TestTLPSumOverInheritedRows is the regression test for a TLP false
+// positive on PostgreSQL inheritance: SUM was chosen because the parent's
+// own rows were all integral (t0's one row holds a NULL c0), but
+// `SELECT ... FROM t0` also scans the child's REAL row, and the
+// partitions' SUM then recombined as an integer.
+func TestTLPSumOverInheritedRows(t *testing.T) {
+	db, err := sut.Open("", sut.Session{Dialect: dialect.Postgres})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	for _, sql := range []string{
+		"CREATE TABLE t0(c0 REAL, c1 serial, c2 BOOLEAN PRIMARY KEY, c3 serial)",
+		"CREATE TABLE t1(c0 REAL PRIMARY KEY, c1 INT) INHERITS (t0)",
+		"INSERT INTO t1 VALUES (-0.5, 128, FALSE, 2147483647)",
+		"INSERT INTO t0(c2) VALUES (TRUE)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("setup %q: %v", sql, err)
+		}
+	}
+	o, err := oracle.New("tlp", oracle.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &oracle.Env{Dialect: dialect.Postgres, Rnd: gen.NewRand(dialect.Postgres, 1)}
+	for i := 0; i < 300; i++ {
+		rep, err := o.Check(db, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep != nil {
+			t.Fatalf("check %d flagged a clean database: %s", i, rep.Message)
+		}
+	}
+}

@@ -272,8 +272,33 @@ func aggDisplay(rows [][]sqlval.Value) string {
 
 // allIntegral reports whether every stored value of a column is NULL,
 // integer, or boolean — consulting ground truth (RawRows), not the query
-// path, since SQLite's dynamic typing stores anything in any column.
+// path, since SQLite's dynamic typing stores anything in any column. A
+// PostgreSQL scan of table also returns the rows of every table that
+// inherits from it, directly or transitively, so their stored values of
+// the column count too.
 func allIntegral(db sut.DB, table string, info schema.TableInfo, col string) bool {
+	intro := db.Introspect()
+	if !columnIntegral(intro, table, info, col) {
+		return false
+	}
+	tables := intro.Tables()
+	for _, name := range tables {
+		if strings.EqualFold(name, table) {
+			continue
+		}
+		child, err := intro.Describe(name)
+		if err != nil {
+			return false
+		}
+		if inherits(intro, child, table, len(tables)) && !columnIntegral(intro, name, child, col) {
+			return false
+		}
+	}
+	return true
+}
+
+// columnIntegral is allIntegral for the rows stored in one table alone.
+func columnIntegral(intro sut.Introspection, table string, info schema.TableInfo, col string) bool {
 	ci := -1
 	for i := range info.Columns {
 		if strings.EqualFold(info.Columns[i].Name, col) {
@@ -284,7 +309,7 @@ func allIntegral(db sut.DB, table string, info schema.TableInfo, col string) boo
 	if ci < 0 {
 		return false
 	}
-	for _, row := range db.Introspect().RawRows(table) {
+	for _, row := range intro.RawRows(table) {
 		if ci >= len(row) {
 			return false
 		}
@@ -295,6 +320,22 @@ func allIntegral(db sut.DB, table string, info schema.TableInfo, col string) boo
 		}
 	}
 	return true
+}
+
+// inherits reports whether info's Parent chain reaches ancestor within
+// maxDepth steps (the table count, so a malformed cyclic chain ends).
+func inherits(intro sut.Introspection, info schema.TableInfo, ancestor string, maxDepth int) bool {
+	for ; maxDepth > 0 && info.Parent != ""; maxDepth-- {
+		if strings.EqualFold(info.Parent, ancestor) {
+			return true
+		}
+		next, err := intro.Describe(info.Parent)
+		if err != nil {
+			return false
+		}
+		info = next
+	}
+	return false
 }
 
 // MultisetEqual compares two result sets as bags of rows, order-blind,
