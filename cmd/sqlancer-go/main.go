@@ -35,7 +35,8 @@
 // A/B runs and for bisecting a detection to the code path it lives in
 // (see DESIGN.md "Execution strategies", which lists the faults each
 // strategy's code path holds; they are unreachable with it disabled). It
-// applies to the pqs and fuzz modes and to -corpus; -mode diff rejects it.
+// applies to every mode and to -corpus; in -mode diff it applies to both
+// compared sessions.
 //
 // -storage pager runs every session on the durable page-file + WAL
 // backend instead of in memory. The recovery-equivalence oracle
@@ -149,20 +150,16 @@ func main() {
 			// end; there is no AST fast path to opt out of.
 			fatal(fmt.Errorf("-wire-fidelity does not apply to -mode diff"))
 		}
-		if disable != 0 {
-			// diffdb opens its own sessions and does not plumb engine
-			// options; reject rather than silently ignore.
-			fatal(fmt.Errorf("-disable does not apply to -mode diff"))
-		}
 		if *storageFlag != "" && *storageFlag != "memory" {
-			// Same reason: diffdb sessions are not storage-configurable.
+			// diffdb sessions are not storage-configurable; reject rather
+			// than silently ignore.
 			fatal(fmt.Errorf("-storage does not apply to -mode diff"))
 		}
 		r, err := dialect.Parse(*rightFlag)
 		if err != nil {
 			fatal(err)
 		}
-		runDiff(d, r, *faultFlag, *backend, *maxDBs, *seed)
+		runDiff(d, r, *faultFlag, *backend, disable, *maxDBs, *seed)
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
@@ -287,7 +284,7 @@ func runFuzz(d dialect.Dialect, faultName, backend, storage string, wireFid bool
 	fmt.Printf("fuzzer: no detection in %d databases (logic bugs are invisible to fuzzing)\n", maxDBs)
 }
 
-func runDiff(left, right dialect.Dialect, faultName, backend string, maxDBs int, seed int64) {
+func runDiff(left, right dialect.Dialect, faultName, backend string, disable strategy.Set, maxDBs int, seed int64) {
 	var fs *faults.Set
 	if f := parseFault(faultName); f != "" {
 		fs = faults.NewSet(f)
@@ -298,6 +295,7 @@ func runDiff(left, right dialect.Dialect, faultName, backend string, maxDBs int,
 			Seed:    seed + int64(i),
 			Faults:  fs,
 			Backend: backend,
+			Disable: disable,
 		})
 		m, err := s.RunDatabase()
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/sqlval"
+	"repro/internal/strategy"
 	"repro/internal/sut"
 	_ "repro/internal/sut/memengine" // default backend
 )
@@ -30,6 +31,9 @@ type Config struct {
 	// Backend names the sut driver both sides run on ("" =
 	// sut.DefaultBackend).
 	Backend string
+	// Disable turns execution strategies off on both sides
+	// (sut.Session.Disable).
+	Disable strategy.Set
 }
 
 // Mismatch is a differential detection.
@@ -66,12 +70,12 @@ func New(cfg Config) *Session {
 // RunDatabase builds one common-core database on both engines and compares
 // query results. It returns the first mismatch, or nil.
 func (s *Session) RunDatabase() (*Mismatch, error) {
-	left, err := sut.Open(s.cfg.Backend, sut.Session{Dialect: s.cfg.Pair[0], Faults: s.cfg.Faults})
+	left, err := sut.Open(s.cfg.Backend, sut.Session{Dialect: s.cfg.Pair[0], Faults: s.cfg.Faults, Disable: s.cfg.Disable})
 	if err != nil {
 		return nil, err
 	}
 	defer left.Close()
-	right, err := sut.Open(s.cfg.Backend, sut.Session{Dialect: s.cfg.Pair[1]})
+	right, err := sut.Open(s.cfg.Backend, sut.Session{Dialect: s.cfg.Pair[1], Disable: s.cfg.Disable})
 	if err != nil {
 		return nil, err
 	}

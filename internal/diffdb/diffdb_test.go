@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/dialect"
 	"repro/internal/faults"
+	"repro/internal/strategy"
+	"repro/internal/sut"
 )
 
 func pairs() [][2]dialect.Dialect {
@@ -71,6 +73,40 @@ func TestDifferentialBlindToDialectFaults(t *testing.T) {
 			if m != nil {
 				t.Fatalf("differential testing unexpectedly detected %s: %q", f, m.Query)
 			}
+		}
+	}
+}
+
+// recordingDriver opens memengine databases and appends each Session it
+// was asked to open to recorded, so a test can see what diffdb passes to
+// both sides.
+type recordingDriver struct{}
+
+var recorded []sut.Session
+
+func (recordingDriver) Open(s sut.Session) (sut.DB, error) {
+	recorded = append(recorded, s)
+	return sut.Open("memengine", s)
+}
+
+func init() { sut.Register("diffdb-recording", recordingDriver{}) }
+
+// Config.Disable reaches both compared sessions, and a differential run
+// with a strategy disabled stays sound.
+func TestDifferentialDisablesBothSessions(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		recorded = nil
+		s := New(Config{Pair: [2]dialect.Dialect{dialect.SQLite, dialect.MySQL}, Seed: seed,
+			Backend: "diffdb-recording", Disable: strategy.HashJoin})
+		m, err := s.RunDatabase()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if m != nil {
+			t.Fatalf("seed %d: spurious mismatch on %q", seed, m.Query)
+		}
+		if len(recorded) != 2 || recorded[0].Disable != strategy.HashJoin || recorded[1].Disable != strategy.HashJoin {
+			t.Fatalf("seed %d: opened sessions %+v, want two with Disable=hashjoin", seed, recorded)
 		}
 	}
 }

@@ -47,7 +47,7 @@ type aggCol struct {
 	op        aggOp  // name as an enum, for the per-row accumulate switch
 	countStar bool
 	arityErr  error
-	// direct short-circuits the compiled program for a bare resolvable
+	// direct short-circuits the argument evaluator for a bare resolvable
 	// column argument on fault-free engines (rel, col into the combo).
 	direct   bool
 	rel, col int
@@ -174,7 +174,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 
 	// Key and aggregate-argument accessors: a bare resolvable column on a
 	// fault-free engine reads its combo slot directly; anything else runs
-	// the compiled program (identical machinery to the materialized path).
+	// through exprEval (identical machinery to the materialized path).
 	directOK := e.fs.Empty()
 	directRef := func(gx sqlast.Expr) (ri, ci int, ok bool) {
 		cr, isRef := gx.(*sqlast.ColumnRef)
@@ -571,7 +571,7 @@ func (e *Engine) accumulate(ac *aggCol, cell *aggCell, v sqlval.Value, nullSkipF
 // finalizeAgg produces one aggregate output value from its accumulator,
 // replicating aggregate()'s control flow — including the agg-empty-group
 // fault, the arity error, and lazy argument binding for zero-row groups
-// (whose compile errors the materialized path still raises).
+// (whose bind errors the materialized path still raises).
 func (e *Engine) finalizeAgg(ac *aggCol, cell *aggCell, groupRows int64, x *exprEval) (sqlval.Value, error) {
 	e.cov.hit("dql.aggregate." + ac.name)
 	// Fault site (sqlite.agg-empty-group) — mirrored from aggregate() so
@@ -629,31 +629,44 @@ func (e *Engine) finalizeAgg(ac *aggCol, cell *aggCell, groupRows int64, x *expr
 	return sqlval.Null(), xerr.New(xerr.CodeUnsupported, "aggregate %s", ac.fc.Name)
 }
 
+// topKRows returns k = LIMIT + OFFSET when the top-K heap applies to an
+// ORDER BY over rows input rows: both are non-negative integer constants
+// and 0 < k < rows. At k >= rows the heap would keep every row, so the
+// full sort serves instead. EXPLAIN applies the same rule to the planner's
+// row estimate.
+func (e *Engine) topKRows(n *sqlast.Select, rows int64) (int64, bool) {
+	lv, err := e.constEval(n.Limit)
+	if err != nil || lv.Kind() != sqlval.KInt || lv.Int64() < 0 {
+		return 0, false
+	}
+	k := lv.Int64()
+	if n.Offset != nil {
+		ov, err := e.constEval(n.Offset)
+		if err != nil || ov.Kind() != sqlval.KInt || ov.Int64() < 0 {
+			return 0, false
+		}
+		k += ov.Int64()
+	}
+	return k, k > 0 && k < rows
+}
+
 // orderByTopK is the bounded-heap ORDER BY + LIMIT path: it keeps the
 // k = limit+offset best rows in a max-heap (root = worst kept) and returns
 // them in full stable-sort order, so the applyLimit slice that follows is
 // byte-identical to sorting everything. handled=false defers to the full
 // sort — non-constant or ill-typed LIMIT/OFFSET (whose errors applyLimit
-// raises with identical precedence), or k too large to profit.
+// raises with identical precedence), or k at or beyond the row count
+// (topKRows). Eligibility is settled before the ORDER BY keys resolve, so
+// a deferred query resolves them once, in the full sort, which raises the
+// same resolution error this path would.
 func (e *Engine) orderByTopK(n *sqlast.Select, rels []*relation, rows [][]sqlval.Value) (bool, [][]sqlval.Value, error) {
+	k64, ok := e.topKRows(n, int64(len(rows)))
+	if !ok {
+		return false, rows, nil
+	}
 	keyIdx, err := e.resolveOrderKeys(n, rels)
 	if err != nil {
 		return false, nil, err
-	}
-	lv, err := e.constEval(n.Limit)
-	if err != nil || lv.Kind() != sqlval.KInt || lv.Int64() < 0 {
-		return false, rows, nil
-	}
-	k64 := lv.Int64()
-	if n.Offset != nil {
-		ov, err := e.constEval(n.Offset)
-		if err != nil || ov.Kind() != sqlval.KInt || ov.Int64() < 0 {
-			return false, rows, nil
-		}
-		k64 += ov.Int64()
-	}
-	if k64 <= 0 || k64 >= int64(len(rows)) {
-		return false, rows, nil
 	}
 	k := int(k64)
 	e.cov.hit("dql.order-by")

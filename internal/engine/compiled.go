@@ -1,9 +1,9 @@
-// Compiled-expression wiring for the executor: the relation layout the
-// eval compiler binds slots against, and exprEval — the per-SELECT facade
-// that hands the query path closures which evaluate through compiled
-// programs by default and through the tree-walk interpreter when
-// compilation is disabled (strategy.Compile in WithDisabled, the
-// `-disable compile` escape hatch).
+// Compiled-expression wiring for the executor: exprEval, the per-clause
+// facade that hands the query path closures which evaluate through a
+// compiled program when the clause will run over enough row combinations
+// to repay compiling it, and through the tree-walk interpreter otherwise
+// or when compilation is disabled (strategy.Compile in WithDisabled, the
+// `-disable compile` escape hatch, which means "never compile").
 //
 // A program lives exactly as long as the statement that compiled it: it
 // is compiled against that statement's relations and is garbage when the
@@ -18,55 +18,40 @@ import (
 	"repro/internal/strategy"
 )
 
-// relLayout exposes a statement's FROM relations as the compile-time
-// layout for eval.Compile. Resolution goes through the same findColumn
-// the tree-walk env uses — same case folding, same alias/table precedence
-// — so compiled and interpreted paths bind identically.
-type relLayout struct {
-	rels []*relation
-}
+// compileMinRows is the number of row combinations from which a clause is
+// compiled rather than interpreted. Compiling costs a fixed set of
+// closures per clause and saves name resolution per row; below this count
+// the tree walk is as fast and allocates less. The value is the measured
+// crossover (table in DESIGN.md "Compiled expression programs",
+// BenchmarkCompileCrossover in this package).
+const compileMinRows = 8
 
-// NumRels implements eval.Layout.
-func (l relLayout) NumRels() int { return len(l.rels) }
+// compileThreshold is the row count newExprEval compares against. It is
+// compileMinRows except in this package's tests, which lower it so the
+// differential suites keep running compiled programs on tables smaller
+// than the crossover. Nothing outside tests writes it.
+var compileThreshold = compileMinRows
 
-// Resolve implements eval.Layout.
-func (l relLayout) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
-	ri, ci, ambiguous := findColumn(l.rels, table, column)
-	if ambiguous {
-		return eval.Slot{}, eval.Meta{}, eval.ErrAmbiguousColumn(column)
-	}
-	if ri < 0 {
-		return eval.Slot{}, eval.Meta{}, eval.ErrNoSuchColumn(table, column)
-	}
-	col := l.rels[ri].columns[ci]
-	return eval.Slot{Rel: ri, Col: ci}, eval.Meta{
-		Coll:        col.Collate,
-		Affinity:    col.Affinity,
-		Unsigned:    col.Unsigned,
-		TypeName:    col.TypeName,
-		TableEngine: l.rels[ri].engine,
-	}, nil
-}
-
-// exprEval evaluates the expressions of one SELECT execution. It exists so
-// the query path asks for a closure once per clause and calls it once per
-// row combination — with compilation on, the closure runs a slot-bound
-// program over a reusable frame; with compilation off, it walks the tree
-// through the joined-row env exactly as before.
+// exprEval evaluates the expressions of one clause group of a SELECT
+// execution. The query path asks it for a closure once per clause and
+// calls the closure once per row combination: compiled, the closure runs
+// a slot-bound program over a reusable frame; interpreted, it walks the
+// tree through the joined-row env.
 type exprEval struct {
 	e        *Engine
 	compiled bool
 	env      joinedEnv
-	lay      relLayout
 	frame    eval.Frame
 }
 
-// newExprEval prepares expression evaluation over a relation set.
-func (e *Engine) newExprEval(rels []*relation) *exprEval {
+// newExprEval prepares expression evaluation over a relation set whose
+// clauses will run over rows row combinations. The choice is made here,
+// once, from a count the caller already knows: compile when rows reaches
+// compileThreshold and compilation is enabled, interpret otherwise.
+func (e *Engine) newExprEval(rels []*relation, rows int) *exprEval {
 	x := &exprEval{e: e, env: joinedEnv{rels: rels}}
-	if !e.off.Has(strategy.Compile) {
+	if !e.off.Has(strategy.Compile) && rows >= compileThreshold {
 		x.compiled = true
-		x.lay = relLayout{rels: rels}
 		x.frame.Rows = make([][]sqlval.Value, len(rels))
 	}
 	return x
@@ -93,19 +78,22 @@ func (x *exprEval) setRow(combo []*rowVals) {
 }
 
 // valueFn returns a closure computing expr against the current row (see
-// setRow). With compilation on, bind errors (missing or ambiguous
-// columns) surface here — once per statement — rather than per row. That
-// is the one intended behavioural difference from tree-walk mode: over an
-// empty row set the interpreter never evaluates the clause and a bad
-// reference passes silently, while the compiled path rejects the
-// statement up front (what a real DBMS's prepare step does).
+// setRow). Missing and ambiguous column references surface here, once
+// per clause, on both paths: compiled, from eval.Compile; interpreted,
+// from eval.Bind, which reports the same first error. So whether a
+// statement fails never depends on the path or on how many rows it reads
+// (a bad reference over an empty table fails too, as a real DBMS's
+// prepare step does).
 func (x *exprEval) valueFn(expr sqlast.Expr) (func() (sqlval.Value, error), error) {
 	if !x.compiled {
+		if err := x.e.ev.Bind(expr, &x.env); err != nil {
+			return nil, err
+		}
 		return func() (sqlval.Value, error) {
 			return x.e.ev.Eval(expr, &x.env)
 		}, nil
 	}
-	prog, err := x.e.ev.Compile(expr, x.lay)
+	prog, err := x.e.ev.Compile(expr, &x.env)
 	if err != nil {
 		return nil, err
 	}
@@ -117,11 +105,14 @@ func (x *exprEval) valueFn(expr sqlast.Expr) (func() (sqlval.Value, error), erro
 // boolFn is valueFn for filter conditions.
 func (x *exprEval) boolFn(expr sqlast.Expr) (func() (sqlval.TriBool, error), error) {
 	if !x.compiled {
+		if err := x.e.ev.Bind(expr, &x.env); err != nil {
+			return nil, err
+		}
 		return func() (sqlval.TriBool, error) {
 			return x.e.ev.EvalBool(expr, &x.env)
 		}, nil
 	}
-	prog, err := x.e.ev.Compile(expr, x.lay)
+	prog, err := x.e.ev.Compile(expr, &x.env)
 	if err != nil {
 		return nil, err
 	}

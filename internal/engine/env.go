@@ -41,8 +41,8 @@ func eqFold(a, b string) bool {
 // findColumn resolves a (possibly unqualified) column reference over a
 // relation set. ambiguous reports an unqualified name matching more than
 // one column — a distinct condition from a missing name (both return
-// ri = -1). The compile-time layout (relLayout) and the tree-walk env
-// below share this resolver so both paths bind identically.
+// ri = -1). The tree-walk env below, which is also the compile-time
+// layout, resolves through it.
 func findColumn(rels []*relation, table, column string) (ri, ci int, ambiguous bool) {
 	if table != "" {
 		for ri, r := range rels {
@@ -110,6 +110,24 @@ func (j *joinedEnv) ColumnMeta(table, column string) (eval.Meta, bool) {
 	if ri < 0 {
 		return eval.Meta{}, false
 	}
+	return j.meta(ri, ci), true
+}
+
+// Resolve implements eval.Layout: the same relations are the compile-time
+// (and bind-time) layout of the statement's programs, so compiled and
+// interpreted paths resolve names identically.
+func (j *joinedEnv) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
+	ri, ci, ambiguous := findColumn(j.rels, table, column)
+	if ambiguous {
+		return eval.Slot{}, eval.Meta{}, eval.ErrAmbiguousColumn(column)
+	}
+	if ri < 0 {
+		return eval.Slot{}, eval.Meta{}, eval.ErrNoSuchColumn(table, column)
+	}
+	return eval.Slot{Rel: ri, Col: ci}, j.meta(ri, ci), nil
+}
+
+func (j *joinedEnv) meta(ri, ci int) eval.Meta {
 	col := j.rels[ri].columns[ci]
 	return eval.Meta{
 		Coll:        col.Collate,
@@ -117,7 +135,7 @@ func (j *joinedEnv) ColumnMeta(table, column string) (eval.Meta, bool) {
 		Unsigned:    col.Unsigned,
 		TypeName:    col.TypeName,
 		TableEngine: j.rels[ri].engine,
-	}, true
+	}
 }
 
 // tableEnv is a single-table row environment (DML paths, index keys).

@@ -10,7 +10,7 @@
 //     into O(n+m) bucket probes. Bucket equality deliberately COARSENS the
 //     evaluator's equality (eval-equal values always share a key; unequal
 //     values may collide), so every candidate pair is still verified by the
-//     compiled ON program — collisions cost time, never correctness;
+//     full ON condition — collisions cost time, never correctness;
 //   - index-lookup join: when the inner table has a usable index on the
 //     join column, each outer combo probes it directly, skipping the build.
 //
@@ -319,15 +319,21 @@ func (e *Engine) joinIndexCandidate(a *joinAnalysis, rels []*relation, level int
 	}
 }
 
+// hashJoinSetup is hash join's fixed cost in pair evaluations: building
+// the table (a map, its buckets and one key string per build row) costs
+// about as much as 24 nested-loop ON evaluations. The value is the
+// measured crossover: hash join loses to the nested loop up to 6×6 rows
+// and wins from 7×7 (table in DESIGN.md "Join execution & strategy
+// selection"), and L+R+24 first undercuts L×R at 7×7.
+const hashJoinSetup = 24
+
 // Join cost model, in the planner's row-count units (see plan.go):
-// nested = L×R pair evaluations; hash = one pass over each side plus a
-// constant build overhead; index lookup = per-combo index probes plus
-// fetches. The crossover sits at tiny inputs (L=R=3) on purpose — hash
-// setup should never lose measurably, and campaign tables are small.
+// nested = L×R pair evaluations; hash = one pass over each side plus the
+// build's fixed cost; index lookup = per-combo index probes plus fetches.
 func joinCost(s JoinStrategy, l, r float64) float64 {
 	switch s {
 	case JoinHash:
-		return l + r + 2
+		return l + r + hashJoinSetup
 	case JoinIndexLookup:
 		return 2 + l*(0.5*math.Log2(r+1)+1)
 	default:

@@ -324,15 +324,16 @@ func TestJoinStrategyExplain(t *testing.T) {
 	}
 }
 
-// TestJoinCostModelCrossover pins the cost crossover: tiny joins keep the
-// nested loop (lower constant cost), larger ones flip to hash.
+// TestJoinCostModelCrossover pins the measured cost crossover: joins up
+// to 6×6 keep the nested loop (the hash build's fixed cost dominates),
+// larger ones flip to hash.
 func TestJoinCostModelCrossover(t *testing.T) {
 	a := &joinAnalysis{keys: []equiKey{{}}}
-	if s, _ := chooseJoinStrategy(a, 2, 2); s != JoinNested {
-		t.Errorf("2x2 equi-join chose %s, want nested (cost 4 vs 6)", s)
+	if s, _ := chooseJoinStrategy(a, 6, 6); s != JoinNested {
+		t.Errorf("6x6 equi-join chose %s, want nested (cost 36 vs 36)", s)
 	}
-	if s, _ := chooseJoinStrategy(a, 3, 3); s != JoinHash {
-		t.Errorf("3x3 equi-join chose %s, want hash (cost 8 vs 9)", s)
+	if s, _ := chooseJoinStrategy(a, 7, 7); s != JoinHash {
+		t.Errorf("7x7 equi-join chose %s, want hash (cost 38 vs 49)", s)
 	}
 	if s, _ := chooseJoinStrategy(a, 1000, 1000); s != JoinHash {
 		t.Errorf("1000x1000 equi-join chose %s, want hash", s)

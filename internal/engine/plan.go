@@ -506,21 +506,29 @@ func (e *Engine) planSelect(sel *sqlast.Select) ([]AccessPath, error) {
 			out = append(out, full)
 		}
 	}
+	// estRows estimates the rows the statement's ORDER BY sorts: one for
+	// a FROM-less SELECT, the access path's estimate for a single source,
+	// the join chain's estimate otherwise.
+	estRows := 1
 	if len(out) == 0 {
 		// FROM-less SELECT: a single constant row.
 		out = append(out, AccessPath{Table: "(no table)", Kind: PathFullScan})
+	} else {
+		estRows = out[0].EstRows
 	}
 	if len(refs) > 1 {
-		e.annotateJoins(sel, out)
+		estRows = e.annotateJoins(sel, out)
 	}
-	e.annotateAggOrder(sel, out)
+	e.annotateAggOrder(sel, out, estRows)
 	return out, nil
 }
 
 // annotateAggOrder records the aggregation and ordering strategies on the
 // statement's first access path, mirroring the executor's dispatch in
-// project/orderByTopK (agg.go).
-func (e *Engine) annotateAggOrder(sel *sqlast.Select, out []AccessPath) {
+// project/orderByTopK (agg.go). estRows is the planner's estimate of the
+// rows entering the projection; a grouped statement emits at most that
+// many, and an aggregate without GROUP BY exactly one.
+func (e *Engine) annotateAggOrder(sel *sqlast.Select, out []AccessPath, estRows int) {
 	if e.off.Has(strategy.HashAgg) || len(out) == 0 {
 		return
 	}
@@ -530,37 +538,33 @@ func (e *Engine) annotateAggOrder(sel *sqlast.Select, out []AccessPath) {
 			keys[i] = sqlast.ExprSQL(gx, e.d)
 		}
 		out[0].Group = "GROUP USING HASH (" + strings.Join(keys, ", ") + ")"
+	} else {
+		for _, rc := range sel.Cols {
+			if _, ok := isAggregate(rc.X); ok {
+				estRows = 1
+				break
+			}
+		}
 	}
 	if len(sel.OrderBy) > 0 && sel.Limit != nil {
-		if lv, err := e.constEval(sel.Limit); err == nil && lv.Kind() == sqlval.KInt && lv.Int64() >= 0 {
-			k := lv.Int64()
-			ok := true
-			if sel.Offset != nil {
-				ov, err := e.constEval(sel.Offset)
-				if err != nil || ov.Kind() != sqlval.KInt || ov.Int64() < 0 {
-					ok = false
-				} else {
-					k += ov.Int64()
-				}
-			}
-			if ok && k > 0 {
-				out[0].Order = fmt.Sprintf("ORDER USING TOP-K (%d)", k)
-			}
+		if k, ok := e.topKRows(sel, int64(estRows)); ok {
+			out[0].Order = fmt.Sprintf("ORDER USING TOP-K (%d)", k)
 		}
 	}
 }
 
 // annotateJoins runs the executor's per-level join analysis and strategy
-// choice over planner row estimates and records the result on each joined
-// relation's access path. Views contribute their declared columns but no
-// rows (EXPLAIN never executes a view), so their row estimate is zero.
-func (e *Engine) annotateJoins(sel *sqlast.Select, out []AccessPath) {
+// choice over planner row estimates, records the result on each joined
+// relation's access path, and returns the estimated rows of the whole
+// join. Views contribute their declared columns but no rows (EXPLAIN
+// never executes a view), so their row estimate is zero.
+func (e *Engine) annotateJoins(sel *sqlast.Select, out []AccessPath) int {
+	estL := float64(out[0].EstRows)
 	rels, joins := e.headerRelations(sel)
 	if rels == nil || len(rels) != len(out) {
-		return
+		return int(estL)
 	}
 	crossOK := e.crossPrefilterOK(sel, rels)
-	estL := float64(out[0].EstRows)
 	for i := 1; i < len(rels); i++ {
 		r := float64(out[i].EstRows)
 		a := e.analyzeJoin(sel, rels, joins[i-1], i, crossOK)
@@ -579,6 +583,7 @@ func (e *Engine) annotateJoins(sel *sqlast.Select, out []AccessPath) {
 			estL *= r
 		}
 	}
+	return int(estL)
 }
 
 // headerRelations builds column-metadata-only relations for planning: same

@@ -266,3 +266,45 @@ func TestPlanInheritanceParentUnplanned(t *testing.T) {
 		t.Errorf("got %d rows, want 2 (parent + child)", n)
 	}
 }
+
+// TestExplainTopKMatchesExecutor is the regression test for EXPLAIN
+// printing ORDER USING TOP-K when k reaches the row count, where the
+// executor falls through to the full sort: on exact single-table
+// estimates, EXPLAIN shows TOP-K exactly when executing the query takes
+// the heap path.
+func TestExplainTopKMatchesExecutor(t *testing.T) {
+	e := Open(dialect.SQLite)
+	execAll(t, e,
+		"CREATE TABLE t(c0 INT, c1 TEXT)",
+		"INSERT INTO t VALUES (3, 'a'), (1, 'b'), (2, 'c')",
+	)
+	for _, tc := range []struct {
+		sql  string
+		topK bool
+	}{
+		{"SELECT c0 FROM t ORDER BY c0 LIMIT 2", true},
+		{"SELECT c0 FROM t ORDER BY c0 LIMIT 3", false},
+		{"SELECT c0 FROM t ORDER BY c0 LIMIT 5", false},
+		{"SELECT c0 FROM t ORDER BY c0 LIMIT 1 OFFSET 1", true},
+		{"SELECT c0 FROM t ORDER BY c0 LIMIT 2 OFFSET 1", false},
+		{"SELECT COUNT(*) AS n FROM t ORDER BY n LIMIT 1", false},
+		{"SELECT t.c0 FROM t, t AS u ORDER BY t.c0 LIMIT 5", true},
+	} {
+		res, err := e.Exec("EXPLAIN " + tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explained := false
+		for _, row := range res.Rows {
+			explained = explained || strings.Contains(row[0].Display(), "TOP-K")
+		}
+		before := e.Coverage().Snapshot()["dql.order-topk"]
+		if _, err := e.Exec(tc.sql); err != nil {
+			t.Fatal(err)
+		}
+		executed := e.Coverage().Snapshot()["dql.order-topk"] > before
+		if explained != tc.topK || executed != tc.topK {
+			t.Errorf("%s: EXPLAIN TOP-K %v, executor TOP-K %v, want %v", tc.sql, explained, executed, tc.topK)
+		}
+	}
+}

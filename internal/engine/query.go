@@ -472,13 +472,15 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 		// The ON condition is bound once per join level — against the
 		// layout prefix visible at this level, so unqualified-name
 		// resolution (and its ambiguity rules) match the tree-walk env —
-		// and the resulting closure runs per row pair. Binding happens
-		// before strategy dispatch so compile-time errors (missing or
-		// ambiguous columns) are identical on every join path.
+		// and the resulting closure runs per row pair. Binding, and the
+		// compile-or-interpret choice over the level's L×R pairs, happen
+		// before strategy dispatch, so bind errors (missing or ambiguous
+		// columns) and the evaluation path are identical on every join
+		// path.
 		var onEval *exprEval
 		var onTest func() (sqlval.TriBool, error)
 		if j.on != nil {
-			onEval = e.newExprEval(rels[:i+1])
+			onEval = e.newExprEval(rels[:i+1], len(combos)*len(rels[i].rows))
 			var err error
 			onTest, err = onEval.boolFn(j.on)
 			if err != nil {
@@ -557,9 +559,10 @@ func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos [][]*ro
 			}
 		}
 	}
-	// The WHERE clause compiles once per statement; the per-combo cost is
-	// a slot-bound program run, not a tree walk with name resolution.
-	x := e.newExprEval(rels)
+	// The WHERE clause binds once per statement; over enough combos it
+	// compiles, and the per-combo cost is a slot-bound program run, not a
+	// tree walk with name resolution.
+	x := e.newExprEval(rels, len(combos))
 	test, err := x.boolFn(n.Where)
 	if err != nil {
 		return nil, err
@@ -685,8 +688,10 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 	}
 
 	// Bind every projected expression once (aggregates are computed per
-	// group below and never through the scalar path).
-	x := e.newExprEval(rels)
+	// group below and never through the scalar path). GROUP BY keys,
+	// HAVING and aggregate arguments share this evaluator, so one
+	// compile-or-interpret choice over the input combos covers them all.
+	x := e.newExprEval(rels, len(combos))
 	colFns := make([]func() (sqlval.Value, error), len(cols))
 	for i, c := range cols {
 		if c.x == nil {

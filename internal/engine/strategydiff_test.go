@@ -9,6 +9,14 @@ import (
 	"repro/internal/strategy"
 )
 
+// Package tests compile every clause whatever its row count, so the
+// differential suites keep comparing compiled programs with the tree walk
+// on the small tables they build; with compileThreshold at its production
+// value the all-on engine would interpret them, exactly like the engines
+// with strategy.Compile disabled. The gate's own tests (gate_test.go)
+// restore compileMinRows.
+func init() { compileThreshold = 0 }
+
 // DiffSets lists every disabled strategy set the differential suites
 // compare against the all-on engine: each strategy alone, every pair, and
 // all of them off. Pairs are where option interactions hide; one-off

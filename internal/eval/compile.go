@@ -42,9 +42,6 @@ type Slot struct {
 // binds a (possibly unqualified) column reference once; per-row evaluation
 // then reads through the returned slot.
 type Layout interface {
-	// NumRels reports how many relations the layout spans (the Frame must
-	// carry one row per relation).
-	NumRels() int
 	// Resolve binds a column reference to its slot and metadata. A missing
 	// column fails with a CodeNoObject "no such column" error; an
 	// unqualified reference matching more than one column fails with
@@ -117,6 +114,40 @@ func (ev *Evaluator) Compile(e sqlast.Expr, lay Layout) (*Program, error) {
 		return nil, err
 	}
 	return &Program{ev: ev, root: t}, nil
+}
+
+// Bind checks e's column references against the layout and returns the
+// error Compile would return for it, or nil. It is the bind step of the
+// tree-walk path: references resolve in the order Compile resolves them
+// (pre-order, operands left to right) under the same rule (resolveRef),
+// so a statement Compile rejects is rejected identically, with the same
+// first error, when the engine interprets it instead. Bind builds nothing
+// and, when every reference resolves, allocates nothing.
+func (ev *Evaluator) Bind(e sqlast.Expr, lay Layout) error {
+	var err error
+	sqlast.WalkExprs(e, func(x sqlast.Expr) bool {
+		if err != nil {
+			return false
+		}
+		if n, ok := x.(*sqlast.ColumnRef); ok {
+			_, _, err = ev.resolveRef(n, lay)
+		}
+		return true
+	})
+	return err
+}
+
+// resolveRef is the ColumnRef binding rule Compile and Bind share: the
+// layout's slot, except for SQLite's double-quote misfeature, where an
+// unresolvable MaybeString token is demoted to the string constant the
+// interpreter would produce. An ambiguous reference stays an error even
+// then.
+func (ev *Evaluator) resolveRef(n *sqlast.ColumnRef, lay Layout) (slot Slot, demoted bool, err error) {
+	slot, _, err = lay.Resolve(n.Table, n.Column)
+	if err != nil && n.MaybeString && ev.D == dialect.SQLite && !IsAmbiguousColumn(err) {
+		return Slot{}, true, nil
+	}
+	return slot, false, err
 }
 
 // boundMetaEnv adapts a Layout into the metadata half of Env, memoizing
@@ -194,15 +225,12 @@ func (c *compiler) compileNode(e sqlast.Expr) (thunk, bool, error) {
 		return constThunk(n.Val), true, nil
 
 	case *sqlast.ColumnRef:
-		slot, _, err := c.menv.lay.Resolve(n.Table, n.Column)
+		slot, demoted, err := ev.resolveRef(n, c.menv.lay)
 		if err != nil {
-			// The SQLite double-quote misfeature: an unresolvable
-			// MaybeString token demotes to a string constant. An ambiguous
-			// reference stays an error in both paths.
-			if n.MaybeString && ev.D == dialect.SQLite && !IsAmbiguousColumn(err) {
-				return constThunk(sqlval.Text(n.Column)), true, nil
-			}
 			return nil, false, err
+		}
+		if demoted {
+			return constThunk(sqlval.Text(n.Column)), true, nil
 		}
 		rel, col := slot.Rel, slot.Col
 		return func(f *Frame) (sqlval.Value, error) {

@@ -89,9 +89,6 @@ func (w *diffWorld) ColumnErr(table, column string) error {
 	return nil
 }
 
-// NumRels implements eval.Layout.
-func (w *diffWorld) NumRels() int { return len(w.rels) }
-
 // Resolve implements eval.Layout.
 func (w *diffWorld) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
 	ri, ci, ambiguous := w.resolve(table, column)

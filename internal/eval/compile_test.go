@@ -184,3 +184,50 @@ func TestCompileCaseSensitiveLikeIsRuntime(t *testing.T) {
 		t.Fatalf("case-sensitive LIKE = %v, want FALSE", tb)
 	}
 }
+
+// TestBindMatchesCompile pins Bind to Compile's binding rule: for every
+// expression, in every dialect, Bind returns exactly the error Compile
+// returns (nil included), so the first bad reference in Compile's
+// resolution order is the one reported. A clause whose references all
+// resolve binds without allocating.
+func TestBindMatchesCompile(t *testing.T) {
+	ghost := func(col string) *sqlast.ColumnRef { return &sqlast.ColumnRef{Column: col, MaybeString: true} }
+	exprs := []sqlast.Expr{
+		sqlast.Col("t0", "c0"),
+		sqlast.Col("t0", "nope"),
+		&sqlast.ColumnRef{Column: "dup"},
+		&sqlast.Binary{Op: sqlast.OpEq, L: sqlast.Col("", "bad1"), R: sqlast.Col("", "bad2")},
+		&sqlast.Between{X: sqlast.Col("t0", "c0"), Lo: sqlast.Col("", "lo"), Hi: sqlast.Col("", "hi")},
+		&sqlast.InList{X: sqlast.Col("t0", "c0"), List: []sqlast.Expr{sqlast.Lit(sqlval.Int(1)), sqlast.Col("", "item")}},
+		&sqlast.Case{Whens: []sqlast.WhenClause{{When: sqlast.Col("", "w"), Then: sqlast.Col("", "th")}}, Else: sqlast.Col("", "el")},
+		&sqlast.FuncCall{Name: "ABS", Args: []sqlast.Expr{&sqlast.Cast{X: sqlast.Col("", "arg"), TypeName: "INT"}}},
+		&sqlast.Unary{Op: sqlast.OpNot, X: &sqlast.Unary{Op: sqlast.OpNot, X: sqlast.Col("", "inner")}},
+		ghost("ghost"),
+		ghost("dup"),
+		&sqlast.Binary{Op: sqlast.OpAnd, L: ghost("ghost"), R: sqlast.Col("", "after")},
+	}
+	for _, d := range dialect.All {
+		w, _ := diffWorldFor(d)
+		ev := eval.New(d)
+		for _, x := range exprs {
+			_, cerr := ev.Compile(x, w)
+			berr := ev.Bind(x, w)
+			if (cerr == nil) != (berr == nil) || (cerr != nil && cerr.Error() != berr.Error()) {
+				t.Errorf("%s: %s: Bind = %v, Compile = %v", d, sqlast.ExprSQL(x, d), berr, cerr)
+			}
+		}
+	}
+
+	w := sqliteWorld()
+	ev := eval.New(dialect.SQLite)
+	ok := &sqlast.Binary{Op: sqlast.OpAnd,
+		L: &sqlast.Binary{Op: sqlast.OpGt, L: sqlast.Col("t0", "c0"), R: sqlast.Lit(sqlval.Int(1))},
+		R: &sqlast.Unary{Op: sqlast.OpIsNull, X: sqlast.Col("t1", "dup")}}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ev.Bind(ok, w); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Bind allocated %.0f times per call, want 0", n)
+	}
+}

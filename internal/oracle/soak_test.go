@@ -12,9 +12,12 @@ import (
 
 // TestOracleFalsePositiveSoak is the soundness guard for the whole oracle
 // registry: against the fault-free engine, N random databases per dialect
-// must produce zero detections under every oracle, through both the
-// compiled-expression path and the tree walk (strategy.Compile disabled). A false positive
-// here means either an engine bug or an oracle whose metamorphic identity
+// must produce zero detections under every oracle, with every strategy on
+// and with strategy.Compile disabled (the tree walk only). With every
+// strategy on, the engine compiles only clauses over at least its
+// row-count threshold of combinations and interprets the rest; the
+// compiled path's fidelity at every row count is checked in internal/eval
+// (TestCompiledTreeWalkEquivalence). A false positive here means either an engine bug or an oracle whose metamorphic identity
 // does not actually hold (e.g. float-order-sensitive aggregation).
 func TestOracleFalsePositiveSoak(t *testing.T) {
 	databases := 40

@@ -127,7 +127,12 @@ func testStrategyParity(t *testing.T, off strategy.Set) {
 
 // TestFaultMatrixCompiledParity runs the parity sweep with every strategy
 // on ("compiled") and with compiled expression programs disabled
-// ("interpreted"): every injected fault keeps firing in both modes.
+// ("interpreted"): every injected fault keeps firing in both modes. With
+// every strategy on, the engine compiles only clauses that run over at
+// least its row-count threshold of combinations and interprets the rest,
+// so this sweep reaches compiled code only above the threshold; fault
+// fidelity of compiled programs at every row count is checked in
+// internal/eval (TestCompiledTreeWalkEquivalence).
 func TestFaultMatrixCompiledParity(t *testing.T) {
 	t.Run("compiled", func(t *testing.T) { testStrategyParity(t, 0) })
 	t.Run("interpreted", func(t *testing.T) { testStrategyParity(t, strategy.Compile) })
