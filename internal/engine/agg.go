@@ -34,6 +34,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
+	"repro/internal/storage"
 	"repro/internal/xerr"
 )
 
@@ -104,7 +105,7 @@ type aggCell struct {
 // one accumulator per aggregate column. Crucially absent: the combos.
 type hashAggGroup struct {
 	key   []sqlval.Value
-	rep   []*rowVals
+	rep   []*storage.Row
 	n     int64
 	cells []aggCell
 }
@@ -150,9 +151,9 @@ func appendAggKey(buf []byte, v sqlval.Value) []byte {
 }
 
 // projectGroupedHash is the streaming grouped/aggregate projection.
-func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string, [][]sqlval.Value, error) {
+func (e *Engine) projectGroupedHash(pc *projCtx, combos []*storage.Row) ([]string, [][]sqlval.Value, error) {
 	e.cov.hit("dql.group-by-hash")
-	n, rels, x := pc.n, pc.rels, pc.x
+	n, rels, x, w := pc.n, pc.rels, pc.x, pc.w
 
 	// Fault site (sqlite.hash-agg-collation): TEXT group keys fold through
 	// the source column's declared collation instead of binary bytes, and
@@ -249,7 +250,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	var groups []*hashAggGroup
 	implicit := len(pc.groupKeys) == 0
 	if implicit {
-		groups = []*hashAggGroup{{rep: make([]*rowVals, len(rels)), cells: make([]aggCell, len(aggCols))}}
+		groups = []*hashAggGroup{{rep: make([]*storage.Row, len(rels)), cells: make([]aggCell, len(aggCols))}}
 	}
 
 	// Group lookup is an open-addressing table over an inline FNV-1a of the
@@ -285,7 +286,8 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	fastNum := len(keyGets) == 1 && keyGets[0].direct && !collFault
 	var keyBuf []byte
 	keyScratch := make([]sqlval.Value, len(pc.groupKeys))
-	for _, combo := range combos {
+	for ci := 0; ci < len(combos); ci += w {
+		combo := combos[ci : ci+w : ci+w]
 		if needEval {
 			x.setRow(combo)
 		}
@@ -301,8 +303,8 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 				var v sqlval.Value
 				kg := &keyGets[0]
 				if kg.rel < len(combo) {
-					if rv := combo[kg.rel]; rv != nil && kg.col < len(rv.vals) {
-						v = rv.vals[kg.col]
+					if rv := combo[kg.rel]; rv != nil && kg.col < len(rv.Vals) {
+						v = rv.Vals[kg.col]
 					}
 				}
 				if k := v.Kind(); k != sqlval.KNull && k != sqlval.KText && k != sqlval.KBlob {
@@ -370,8 +372,8 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 					var v sqlval.Value
 					if kg := &keyGets[i]; kg.direct {
 						// readDirect, inlined: this is the per-row hot path.
-						if rv := combo[kg.rel]; rv != nil && kg.col < len(rv.vals) {
-							v = rv.vals[kg.col]
+						if rv := combo[kg.rel]; rv != nil && kg.col < len(rv.Vals) {
+							v = rv.Vals[kg.col]
 						}
 					} else {
 						var err error
@@ -440,8 +442,8 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 			var v sqlval.Value
 			if ac.direct {
 				// readDirect, inlined: this is the per-row hot path.
-				if ac.rel < len(combo) && combo[ac.rel] != nil && ac.col < len(combo[ac.rel].vals) {
-					v = combo[ac.rel].vals[ac.col]
+				if ac.rel < len(combo) && combo[ac.rel] != nil && ac.col < len(combo[ac.rel].Vals) {
+					v = combo[ac.rel].Vals[ac.col]
 				} else {
 					v = sqlval.Null()
 				}
@@ -487,10 +489,10 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 		row := make([]sqlval.Value, len(pc.cols))
 		for i, c := range pc.cols {
 			if c.x == nil {
-				if g.rep[c.rel] == nil || c.col >= len(g.rep[c.rel].vals) {
+				if g.rep[c.rel] == nil || c.col >= len(g.rep[c.rel].Vals) {
 					row[i] = sqlval.Null()
 				} else {
-					row[i] = g.rep[c.rel].vals[c.col]
+					row[i] = g.rep[c.rel].Vals[c.col]
 				}
 				continue
 			}

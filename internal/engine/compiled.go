@@ -15,6 +15,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
+	"repro/internal/storage"
 	"repro/internal/strategy"
 )
 
@@ -62,7 +63,7 @@ func (e *Engine) newExprEval(rels []*relation, rows int) *exprEval {
 // Callers bind the row once per combination, however many expressions
 // they then evaluate on it. A nil row (or a combo shorter than the
 // layout) is the NULL-extended side of an outer join.
-func (x *exprEval) setRow(combo []*rowVals) {
+func (x *exprEval) setRow(combo []*storage.Row) {
 	if !x.compiled {
 		x.env.current = combo
 		return
@@ -70,7 +71,7 @@ func (x *exprEval) setRow(combo []*rowVals) {
 	rows := x.frame.Rows
 	for i := range rows {
 		if i < len(combo) && combo[i] != nil {
-			rows[i] = combo[i].vals
+			rows[i] = combo[i].Vals
 		} else {
 			rows[i] = nil
 		}

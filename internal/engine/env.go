@@ -6,6 +6,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/schema"
 	"repro/internal/sqlval"
+	"repro/internal/storage"
 )
 
 // relation is one FROM source during query execution: a named set of
@@ -15,20 +16,16 @@ type relation struct {
 	table   string // underlying base table name ("" for views/derived)
 	columns []schema.Column
 	engine  string // MySQL storage engine of the base table
-	rows    []*rowVals
-}
-
-// rowVals is one row of a relation during execution.
-type rowVals struct {
-	rowid int64
-	vals  []sqlval.Value
+	// rows are the source's rows. A base-table scan borrows the heap's
+	// rows (see storage.Row): nothing here may write through them.
+	rows []*storage.Row
 }
 
 // joinedEnv resolves columns over a set of relations with one current row
 // each. It implements eval.Env.
 type joinedEnv struct {
 	rels    []*relation
-	current []*rowVals // parallel to rels
+	current []*storage.Row // parallel to rels
 }
 
 // eqFold is strings.EqualFold with an exact-match fast path: generated
@@ -98,10 +95,10 @@ func (j *joinedEnv) ColumnValue(table, column string) (sqlval.Value, bool) {
 		// NULL-extended side of an outer join.
 		return sqlval.Null(), true
 	}
-	if ci >= len(row.vals) {
+	if ci >= len(row.Vals) {
 		return sqlval.Null(), true
 	}
-	return row.vals[ci], true
+	return row.Vals[ci], true
 }
 
 // ColumnMeta implements eval.Env.

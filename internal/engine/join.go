@@ -27,7 +27,7 @@ package engine
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dialect"
@@ -36,6 +36,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
+	"repro/internal/storage"
 	"repro/internal/strategy"
 )
 
@@ -377,13 +378,13 @@ func pgJoinClassesCompatible(a *joinAnalysis, rels []*relation, level int) bool 
 // relClassMask ORs the Postgres comparison classes present in one column:
 // numeric=1, bool=2, text=4, blob=8. NULLs contribute nothing (comparisons
 // against NULL never error).
-func relClassMask(rows []*rowVals, col int) uint8 {
+func relClassMask(rows []*storage.Row, col int) uint8 {
 	var m uint8
 	for _, row := range rows {
-		if col >= len(row.vals) {
+		if col >= len(row.Vals) {
 			continue
 		}
-		v := row.vals[col]
+		v := row.Vals[col]
 		switch {
 		case v.IsNull():
 		case v.Kind() == sqlval.KBool:
@@ -478,11 +479,11 @@ func (e *Engine) appendJoinKey(buf []byte, v sqlval.Value, coll sqlval.Collation
 // row cannot join (the caller handles LEFT-join NULL extension). Under the
 // null-key fault, NULL components instead key on a sentinel — making NULL
 // spuriously equal to NULL.
-func (e *Engine) rowJoinKey(buf []byte, row *rowVals, keys []equiKey, nullFault bool) (_ []byte, ok, hadNull bool) {
+func (e *Engine) rowJoinKey(buf []byte, row *storage.Row, keys []equiKey, nullFault bool) (_ []byte, ok, hadNull bool) {
 	for _, k := range keys {
 		v := sqlval.Null()
-		if k.rCol < len(row.vals) {
-			v = row.vals[k.rCol]
+		if k.rCol < len(row.Vals) {
+			v = row.Vals[k.rCol]
 		}
 		if v.IsNull() {
 			// Fault site (sqlite.hash-join-null-key): NULL keys bucket
@@ -503,11 +504,11 @@ func (e *Engine) rowJoinKey(buf []byte, row *rowVals, keys []equiKey, nullFault 
 // comboJoinKey is rowJoinKey for the outer side: key components come from
 // the combo's per-relation rows (nil rows — NULL-extended outer-join sides
 // — contribute NULL components).
-func (e *Engine) comboJoinKey(buf []byte, combo []*rowVals, keys []equiKey, nullFault bool) (_ []byte, ok, hadNull bool) {
+func (e *Engine) comboJoinKey(buf []byte, combo []*storage.Row, keys []equiKey, nullFault bool) (_ []byte, ok, hadNull bool) {
 	for _, k := range keys {
 		v := sqlval.Null()
-		if k.lRel < len(combo) && combo[k.lRel] != nil && k.lCol < len(combo[k.lRel].vals) {
-			v = combo[k.lRel].vals[k.lCol]
+		if k.lRel < len(combo) && combo[k.lRel] != nil && k.lCol < len(combo[k.lRel].Vals) {
+			v = combo[k.lRel].Vals[k.lCol]
 		}
 		if v.IsNull() {
 			if !nullFault {
@@ -523,29 +524,9 @@ func (e *Engine) comboJoinKey(buf []byte, combo []*rowVals, keys []equiKey, null
 	return buf, true, hadNull
 }
 
-// comboArena block-allocates the kept-combo slices of a join. Campaign
-// profiles showed the per-kept-combo make() in the nested loop as a top
-// allocation site; carving fixed-capacity slices out of doubling blocks
-// amortizes it away. Exhausted blocks are abandoned to the slices already
-// carved from them, so taken pointers stay valid.
-type comboArena struct {
-	buf []*rowVals
-}
-
-func (a *comboArena) alloc(n int) []*rowVals {
-	if len(a.buf)+n > cap(a.buf) {
-		sz := 1024
-		for sz < n {
-			sz *= 2
-		}
-		a.buf = make([]*rowVals, 0, sz)
-	}
-	start := len(a.buf)
-	a.buf = a.buf[:start+n]
-	return a.buf[start : start+n : start+n]
-}
-
 // joinLevel is the per-level state shared by the three join operators.
+// The level's input combos have width level (see joinRows); its output
+// combos have width level+1.
 type joinLevel struct {
 	n      *sqlast.Select
 	rels   []*relation
@@ -553,122 +534,94 @@ type joinLevel struct {
 	j      joinInfo
 	onEval *exprEval
 	onTest func() (sqlval.TriBool, error)
-	arena  *comboArena
-	// scratch is the reused ON-evaluation combo (shared across levels).
-	scratch *[]*rowVals
+	// leftDrop arms the postgres.left-join-drop fault on a LEFT level.
+	leftDrop bool
+	// out receives the level's combos, flat.
+	out []*storage.Row
 }
 
-// nestedJoinLevel is the baseline operator: exactly the semantics the
-// executor always had, with arena-backed kept-combo allocation.
-func (e *Engine) nestedJoinLevel(lv *joinLevel, combos, out [][]*rowVals) ([][]*rowVals, error) {
-	right := lv.rels[lv.level].rows
-	leftDrop := lv.j.kind == sqlast.JoinLeft && e.d == dialect.Postgres && e.fs.Has(faults.LeftJoinDrop)
-	for _, combo := range combos {
-		matched := false
-		for _, row := range right {
-			if lv.onTest != nil {
-				// Evaluate the ON condition against a reused scratch
-				// combo; a fresh slice is materialized only for kept rows.
-				*lv.scratch = append(append((*lv.scratch)[:0], combo...), row)
-				lv.onEval.setRow(*lv.scratch)
-				tb, err := lv.onTest()
-				if err != nil {
-					return nil, err
-				}
-				if tb != sqlval.TriTrue {
-					continue
-				}
-			}
-			// Fault site (postgres.left-join-drop), part 2: a matched LEFT
-			// JOIN row carrying a NULL on the right side is misclassified
-			// as unmatched and dropped.
-			if leftDrop && hasNullVal(row) {
-				matched = true
-				continue
-			}
-			matched = true
-			cand := lv.arena.alloc(len(combo) + 1)
-			copy(cand, combo)
-			cand[len(combo)] = row
-			out = append(out, cand)
+// pair appends the combo (combo, row) to lv.out and, unless skipTest,
+// evaluates the ON condition on that appended tail, truncating it again
+// when ON is not TRUE. matched reports that ON held. Fault site
+// (postgres.left-join-drop), part 2: a matched LEFT JOIN row carrying a
+// NULL on the right side is misclassified as unmatched and dropped.
+func (lv *joinLevel) pair(combo []*storage.Row, row *storage.Row, skipTest bool) (matched bool, err error) {
+	tail := len(lv.out)
+	lv.out = append(append(lv.out, combo...), row)
+	if lv.onTest != nil && !skipTest {
+		lv.onEval.setRow(lv.out[tail:])
+		tb, err := lv.onTest()
+		if err != nil {
+			return false, err
 		}
-		if !matched && lv.j.kind == sqlast.JoinLeft {
-			// Fault site (postgres.left-join-drop), part 1: LEFT JOIN
-			// behaves as INNER and drops the unmatched left row.
-			if leftDrop {
-				continue
-			}
-			cand := lv.arena.alloc(len(combo) + 1)
-			copy(cand, combo)
-			cand[len(combo)] = nil
-			out = append(out, cand)
+		if tb != sqlval.TriTrue {
+			lv.out = lv.out[:tail]
+			return false, nil
 		}
 	}
-	return out, nil
+	if lv.leftDrop && hasNullVal(row) {
+		lv.out = lv.out[:tail]
+	}
+	return true, nil
+}
+
+// extend appends combo NULL-extended on the level's side (LEFT JOIN).
+func (lv *joinLevel) extend(combo []*storage.Row) {
+	lv.out = append(append(lv.out, combo...), nil)
+}
+
+// nestedJoinLevel is the baseline operator: every (combo, row) pair is
+// evaluated against the ON condition.
+func (e *Engine) nestedJoinLevel(lv *joinLevel, combos []*storage.Row) error {
+	right := lv.rels[lv.level].rows
+	w := lv.level
+	for ci := 0; ci < len(combos); ci += w {
+		combo := combos[ci : ci+w : ci+w]
+		matched := false
+		for _, row := range right {
+			m, err := lv.pair(combo, row, false)
+			if err != nil {
+				return err
+			}
+			matched = matched || m
+		}
+		// Fault site (postgres.left-join-drop), part 1: LEFT JOIN behaves
+		// as INNER and drops the unmatched left row.
+		if !matched && lv.j.kind == sqlast.JoinLeft && !lv.leftDrop {
+			lv.extend(combo)
+		}
+	}
+	return nil
 }
 
 // hashJoinLevel joins one level through a hash table on the
 // estimated-smaller side. Emission order reproduces the nested loop
 // exactly: outer combos in order, each combo's matches in inner scan
 // order — the result is byte-identical, not merely multiset-equal.
-func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*rowVals) ([][]*rowVals, error) {
+func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos []*storage.Row) error {
 	right := lv.rels[lv.level].rows
+	w := lv.level
 	nullFault := e.d == dialect.SQLite && e.fs.Has(faults.HashJoinNullKey) &&
 		lv.n.Where != nil && lv.j.on != nil
 	leftDropHash := lv.j.kind == sqlast.JoinLeft && e.d == dialect.Postgres &&
 		e.fs.Has(faults.HashLeftJoinDrop) && lv.n.Where != nil
-	leftDrop := lv.j.kind == sqlast.JoinLeft && e.d == dialect.Postgres &&
-		e.fs.Has(faults.LeftJoinDrop)
 
-	// emit verifies one candidate pair against the full ON condition and
-	// appends it. Bucket equality is a prefilter; the residual verification
+	// Every candidate pair is verified against the full ON condition
+	// (lv.pair). Bucket equality is a prefilter; the residual verification
 	// is what makes key collisions harmless. Cross-join levels (no ON)
 	// skip it: their collisions are removed by the WHERE filter that
-	// crossPrefilterOK guarantees runs. reported tracks LEFT-join
-	// matchedness (a pair can match yet be suppressed by the
+	// crossPrefilterOK guarantees runs. Matchedness for LEFT joins comes
+	// from lv.pair too (a pair can match yet be suppressed by the
 	// left-join-drop fault, exactly like the nested loop).
-	emit := func(combo []*rowVals, row *rowVals, skipTest bool) (matchedPair bool, err error) {
-		if lv.onTest != nil && !skipTest {
-			*lv.scratch = append(append((*lv.scratch)[:0], combo...), row)
-			lv.onEval.setRow(*lv.scratch)
-			tb, err := lv.onTest()
-			if err != nil {
-				return false, err
-			}
-			if tb != sqlval.TriTrue {
-				return false, nil
-			}
-		}
-		// Fault site (postgres.left-join-drop), part 2 — mirrored from the
-		// nested loop so the fault matrix is path-independent.
-		if leftDrop && hasNullVal(row) {
-			return true, nil
-		}
-		cand := lv.arena.alloc(len(combo) + 1)
-		copy(cand, combo)
-		cand[len(combo)] = row
-		out = append(out, cand)
-		return true, nil
-	}
-	extend := func(combo []*rowVals) {
-		if leftDrop {
-			// Fault site (postgres.left-join-drop), part 1 — mirrored.
-			return
-		}
-		if leftDropHash {
-			// Fault site (postgres.hash-left-join-drop): the hash LEFT
-			// join forgets to NULL-extend unmatched preserved combos in
-			// filtered queries — they vanish instead.
-			return
-		}
-		cand := lv.arena.alloc(len(combo) + 1)
-		copy(cand, combo)
-		cand[len(combo)] = nil
-		out = append(out, cand)
-	}
+	// Unmatched LEFT combos are NULL-extended, except under the
+	// postgres.left-join-drop fault (part 1, mirrored from the nested
+	// loop) and the postgres.hash-left-join-drop fault: the hash LEFT join
+	// forgets to NULL-extend unmatched preserved combos in filtered
+	// queries — they vanish instead.
+	extend := lv.j.kind == sqlast.JoinLeft && !lv.leftDrop && !leftDropHash
 
 	var keyBuf []byte
-	if len(right) <= len(combos) {
+	if len(right) <= len(combos)/w {
 		// Build on the inner relation, probe with outer combos. Bucket
 		// position lists accumulate in scan order, so probing emits each
 		// combo's matches in inner scan order.
@@ -681,7 +634,8 @@ func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*
 			}
 			table[string(keyBuf)] = append(table[string(keyBuf)], int32(pos))
 		}
-		for _, combo := range combos {
+		for ci := 0; ci < len(combos); ci += w {
+			combo := combos[ci : ci+w : ci+w]
 			var ok, probeNull bool
 			keyBuf, ok, probeNull = e.comboJoinKey(keyBuf[:0], combo, a.keys, nullFault)
 			matched := false
@@ -690,32 +644,33 @@ func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*
 				// probe whose key had a NULL component skips residual
 				// verification — the spurious sentinel match survives.
 				for _, pos := range table[string(keyBuf)] {
-					m, err := emit(combo, right[pos], nullFault && probeNull)
+					m, err := lv.pair(combo, right[pos], nullFault && probeNull)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					matched = matched || m
 				}
 			}
-			if !matched && lv.j.kind == sqlast.JoinLeft {
-				extend(combo)
+			if !matched && extend {
+				lv.extend(combo)
 			}
 		}
-		return out, nil
+		return nil
 	}
 
 	// Build on the outer combos, stream the inner relation. Matches per
 	// combo accumulate in inner scan order as the stream advances; a final
 	// pass over combos in order restores the outer-major emission order.
-	table := make(map[string][]int32, len(combos))
+	l := len(combos) / w
+	table := make(map[string][]int32, l)
 	var comboNull []bool
 	if nullFault {
-		comboNull = make([]bool, len(combos))
+		comboNull = make([]bool, l)
 	}
-	cands := make([][]int32, len(combos))
-	for ci, combo := range combos {
+	cands := make([][]int32, l)
+	for ci := range l {
 		var ok, hadNull bool
-		keyBuf, ok, hadNull = e.comboJoinKey(keyBuf[:0], combo, a.keys, nullFault)
+		keyBuf, ok, hadNull = e.comboJoinKey(keyBuf[:0], combos[ci*w:(ci+1)*w], a.keys, nullFault)
 		if !ok {
 			continue
 		}
@@ -734,41 +689,44 @@ func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*
 			cands[ci] = append(cands[ci], int32(pos))
 		}
 	}
-	for ci, combo := range combos {
+	for ci := range l {
+		combo := combos[ci*w : (ci+1)*w : (ci+1)*w]
 		matched := false
 		for _, pos := range cands[ci] {
-			m, err := emit(combo, right[pos], nullFault && comboNull[ci])
+			m, err := lv.pair(combo, right[pos], nullFault && comboNull[ci])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			matched = matched || m
 		}
-		if !matched && lv.j.kind == sqlast.JoinLeft {
-			extend(combo)
+		if !matched && extend {
+			lv.extend(combo)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // indexJoinLevel probes an inner-table index per outer combo (SQLite inner
 // joins on fault-free engines only; see joinIndexCandidate). Candidate
 // positions are sorted into scan order and verified against the full ON
 // condition, so results match the nested loop byte-for-byte.
-func (e *Engine) indexJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*rowVals) ([][]*rowVals, error) {
+func (e *Engine) indexJoinLevel(lv *joinLevel, a *joinAnalysis, combos []*storage.Row) error {
 	right := lv.rels[lv.level].rows
+	w := lv.level
 	pos := make(map[int64]int32, len(right))
 	for p, row := range right {
-		pos[row.rowid] = int32(p)
+		pos[row.Rowid] = int32(p)
 	}
 	ixd := e.idx[lower(a.idx.Name)]
 	var probe [1]sqlval.Value
 	var cpos []int32
-	for _, combo := range combos {
+	for ci := 0; ci < len(combos); ci += w {
+		combo := combos[ci : ci+w : ci+w]
 		lrow := combo[a.idxKey.lRel]
-		if lrow == nil || a.idxKey.lCol >= len(lrow.vals) {
+		if lrow == nil || a.idxKey.lCol >= len(lrow.Vals) {
 			continue // NULL key never matches; inner join keeps nothing
 		}
-		v := lrow.vals[a.idxKey.lCol]
+		v := lrow.Vals[a.idxKey.lCol]
 		if v.IsNull() {
 			continue
 		}
@@ -781,23 +739,12 @@ func (e *Engine) indexJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]
 				cpos = append(cpos, p)
 			}
 		}
-		sort.Slice(cpos, func(x, y int) bool { return cpos[x] < cpos[y] })
+		slices.Sort(cpos)
 		for _, p := range cpos {
-			row := right[p]
-			*lv.scratch = append(append((*lv.scratch)[:0], combo...), row)
-			lv.onEval.setRow(*lv.scratch)
-			tb, err := lv.onTest()
-			if err != nil {
-				return nil, err
+			if _, err := lv.pair(combo, right[p], false); err != nil {
+				return err
 			}
-			if tb != sqlval.TriTrue {
-				continue
-			}
-			cand := lv.arena.alloc(len(combo) + 1)
-			copy(cand, combo)
-			cand[len(combo)] = row
-			out = append(out, cand)
 		}
 	}
-	return out, nil
+	return nil
 }

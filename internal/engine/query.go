@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
+	"repro/internal/storage"
 	"repro/internal/strategy"
 	"repro/internal/xerr"
 )
@@ -24,8 +26,8 @@ type joinInfo struct {
 func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 	e.cov.hit("dql.select")
 	// Resolve sources.
-	var rels []*relation
-	var joins []joinInfo // parallel to rels[1:]
+	rels := make([]*relation, 0, len(n.From)+len(n.Joins))
+	joins := make([]joinInfo, 0, max(cap(rels)-1, 0)) // parallel to rels[1:]
 	single := len(n.From) == 1 && len(n.Joins) == 0
 	for _, tr := range n.From {
 		var r *relation
@@ -58,11 +60,13 @@ func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 		return nil, err
 	}
 
-	// Join / cross product with WHERE filtering.
+	// Join / cross product with WHERE filtering. The combos come back
+	// flat, w rows each (see joinRows).
 	combos, err := e.joinRows(n, rels, joins)
 	if err != nil {
 		return nil, err
 	}
+	w := max(len(rels), 1)
 
 	// Fault site (sqlite.norec-count-mismatch): a star-projection SELECT
 	// with a WHERE clause drops its first matching row — the optimized
@@ -72,14 +76,14 @@ func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 		n.Where != nil && len(combos) > 0 {
 		for _, rc := range n.Cols {
 			if rc.Star {
-				combos = combos[1:]
+				combos = combos[w:]
 				break
 			}
 		}
 	}
 
 	// GROUP BY / aggregates.
-	outCols, outRows, err := e.project(n, rels, combos)
+	outCols, outRows, err := e.project(n, rels, combos, w)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +103,7 @@ func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 			}
 		}
 		if !handled {
-			if err := e.orderBy(n, rels, outRows, combos); err != nil {
+			if err := e.orderBy(n, rels, outRows); err != nil {
 				return nil, err
 			}
 		}
@@ -126,9 +130,11 @@ func (e *Engine) buildRelation(tr sqlast.TableRef) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := &relation{name: name, columns: t.Columns}
-		for _, row := range res.Rows {
-			r.rows = append(r.rows, &rowVals{vals: row})
+		r := &relation{name: name, columns: t.Columns, rows: make([]*storage.Row, len(res.Rows))}
+		arena := make([]storage.Row, len(res.Rows))
+		for i, row := range res.Rows {
+			arena[i].Vals = row
+			r.rows[i] = &arena[i]
 		}
 		e.cov.hit("dql.view-scan")
 		return r, nil
@@ -143,22 +149,24 @@ func (e *Engine) buildRelation(tr sqlast.TableRef) (*relation, error) {
 		panic(crashPanic{site: "rowid_alias_resolve"})
 	}
 
+	// The scan borrows the heap's rows. The capacity is clipped, so no
+	// append can reach the heap's spare capacity.
 	heap := td.Rows()
-	// One arena backs the scan's row headers (one *rowVals per heap row
-	// per query adds up fast in campaign hot loops).
-	arena := make([]rowVals, 0, len(heap))
-	r.rows = make([]*rowVals, 0, len(heap))
-	for _, row := range heap {
-		// Fault site (generic.insert-visibility): the most recent insert
-		// is invisible to scans.
-		if e.d == dialect.MySQL && e.fs.Has(faults.InsertVisibility) && row.Rowid == st.lastInsert {
-			continue
+	r.rows = heap[:len(heap):len(heap)]
+	// Fault site (generic.insert-visibility): the most recent insert is
+	// invisible to scans.
+	if e.d == dialect.MySQL && e.fs.Has(faults.InsertVisibility) {
+		r.rows = make([]*storage.Row, 0, len(heap))
+		for _, row := range heap {
+			if row.Rowid != st.lastInsert {
+				r.rows = append(r.rows, row)
+			}
 		}
-		arena = append(arena, rowVals{rowid: row.Rowid, vals: row.Vals})
-		r.rows = append(r.rows, &arena[len(arena)-1])
 	}
 
-	// Postgres inheritance: parent scans include children (Listing 15).
+	// Postgres inheritance: parent scans include children (Listing 15),
+	// projected onto the parent's columns, so these rows are copies (the
+	// first append copies the borrowed slice too).
 	if e.d == dialect.Postgres && !tr.Only && len(t.Children) > 0 {
 		for _, leaf := range e.cat.InheritanceLeaves(t)[1:] {
 			childTD := e.data[lower(leaf.Name)]
@@ -172,7 +180,7 @@ func (e *Engine) buildRelation(tr sqlast.TableRef) (*relation, error) {
 						proj[ci] = sqlval.Null()
 					}
 				}
-				r.rows = append(r.rows, &rowVals{rowid: -row.Rowid, vals: proj})
+				r.rows = append(r.rows, &storage.Row{Rowid: -row.Rowid, Vals: proj})
 			}
 		}
 		e.cov.hit("dql.inheritance-scan")
@@ -338,15 +346,12 @@ func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*re
 	}
 	td := e.data[lower(t.Name)]
 	r := &relation{name: name, table: t.Name, columns: t.Columns, engine: t.Engine}
-	// Deduplicate and fetch in rowid order, matching heap-scan order.
-	sorted := append([]int64(nil), rowids...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	// One arena backs the fetched row headers (cap fixed up front so the
-	// taken pointers stay valid).
-	arena := make([]rowVals, 0, len(sorted))
-	r.rows = make([]*rowVals, 0, len(sorted))
+	// Deduplicate and fetch in rowid order, matching heap-scan order. Every
+	// planCandidates path returns a fresh slice, so it sorts in place.
+	slices.Sort(rowids)
+	r.rows = make([]*storage.Row, 0, len(rowids))
 	var prev int64
-	for i, rid := range sorted {
+	for i, rid := range rowids {
 		if i > 0 && rid == prev {
 			continue
 		}
@@ -360,8 +365,7 @@ func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*re
 		if e.d == dialect.MySQL && e.fs.Has(faults.InsertVisibility) && row.Rowid == st.lastInsert {
 			continue
 		}
-		arena = append(arena, rowVals{rowid: row.Rowid, vals: row.Vals})
-		r.rows = append(r.rows, &arena[len(arena)-1])
+		r.rows = append(r.rows, row)
 	}
 	return r, nil
 }
@@ -426,15 +430,27 @@ func (e *Engine) idxRowids(ix *schema.Index) []int64 {
 	return out
 }
 
-// joinRows enumerates filtered row combinations.
-func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) ([][]*rowVals, error) {
+// Caps, in pointers, on the capacity a join level reserves up front for
+// its combos: 8 KB for a hash or index-lookup level, 256 KB for a nested
+// loop.
+const (
+	joinPresizeMax   = 1 << 10
+	nestedPresizeMax = 1 << 15
+)
+
+// joinRows enumerates the filtered row combinations. They come back flat:
+// with w = len(rels) (1 for a FROM-less SELECT, whose one combination is
+// a nil row), combination i is rows[i*w:(i+1)*w]. A single source's rows
+// pass through as width-1 combinations without a copy, so the result may
+// alias a borrowed heap: callers read it and never write through it.
+func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) ([]*storage.Row, error) {
 	// FROM-less SELECT evaluates over a single empty row (SELECT 1).
 	if len(rels) == 0 {
-		combos := [][]*rowVals{{}}
+		combos := []*storage.Row{nil}
 		if n.Where == nil {
 			return combos, nil
 		}
-		return e.filterCombos(n, rels, combos)
+		return e.filterCombos(n, rels, combos, 1)
 	}
 	// Fault site (generic.join-predicate-pushdown): with two FROM tables
 	// and a WHERE touching only the second, the "pushdown" also prunes
@@ -452,23 +468,13 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 		}
 	}
 
-	// Start with the first relation's rows. One backing array holds every
-	// single-element combo, instead of one allocation per row.
-	combos := make([][]*rowVals, len(rels[0].rows))
-	backing := make([]*rowVals, len(rels[0].rows))
-	for ri, row := range rels[0].rows {
-		backing[ri] = row
-		combos[ri] = backing[ri : ri+1 : ri+1]
-	}
-	scratch := make([]*rowVals, 0, len(rels))
-	var arena comboArena
-	// spare recycles the previous level's combo-header array: once a level
-	// has been consumed as input, its [][]*rowVals backing becomes the
-	// append target for the next level's output.
-	var spare [][]*rowVals
+	// The first relation's rows are its width-1 combos. Each level i
+	// appends (combo, row) pairs of width i+1 to a fresh flat slice.
+	combos := rels[0].rows
 	crossOK := e.crossPrefilterOK(n, rels)
 	for i := 1; i < len(rels); i++ {
 		j := joins[i-1]
+		l, r := len(combos)/i, len(rels[i].rows)
 		// The ON condition is bound once per join level — against the
 		// layout prefix visible at this level, so unqualified-name
 		// resolution (and its ambiguity rules) match the tree-walk env —
@@ -480,7 +486,7 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 		var onEval *exprEval
 		var onTest func() (sqlval.TriBool, error)
 		if j.on != nil {
-			onEval = e.newExprEval(rels[:i+1], len(combos)*len(rels[i].rows))
+			onEval = e.newExprEval(rels[:i+1], l*r)
 			var err error
 			onTest, err = onEval.boolFn(j.on)
 			if err != nil {
@@ -493,41 +499,53 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 		a := e.analyzeJoin(n, rels, j, i, crossOK)
 		strat := JoinNested
 		if a != nil {
-			strat, _ = chooseJoinStrategy(a, float64(len(combos)), float64(len(rels[i].rows)))
+			strat, _ = chooseJoinStrategy(a, float64(l), float64(r))
 			if strat == JoinHash && e.d == dialect.Postgres &&
 				!pgJoinClassesCompatible(a, rels, i) {
 				strat = JoinNested
 			}
 		}
-		lv := &joinLevel{n: n, rels: rels, level: i, j: j,
-			onEval: onEval, onTest: onTest, arena: &arena, scratch: &scratch}
-		var next [][]*rowVals
+		// A level keeps at most every pair plus one NULL-extended combo
+		// per outer combo, and is pre-sized for that bound up to a cap
+		// that keeps the reservation independent of L×R on large tables;
+		// past the cap append grows with the combos kept. A nested loop
+		// evaluates every pair and usually keeps most of them, so its cap
+		// is the larger one; a hash or index-lookup level keeps about one
+		// combo per key match.
+		size := (l*r + l) * (i + 1)
+		if strat == JoinNested {
+			size = min(size, nestedPresizeMax)
+		} else {
+			size = min(size, joinPresizeMax)
+		}
+		lv := &joinLevel{n: n, rels: rels, level: i, j: j, onEval: onEval, onTest: onTest,
+			leftDrop: j.kind == sqlast.JoinLeft && e.d == dialect.Postgres && e.fs.Has(faults.LeftJoinDrop),
+			out:      make([]*storage.Row, 0, size)}
 		var err error
 		switch strat {
 		case JoinHash:
 			e.cov.hit("join.hash")
-			next, err = e.hashJoinLevel(lv, a, combos, spare[:0])
+			err = e.hashJoinLevel(lv, a, combos)
 		case JoinIndexLookup:
 			e.cov.hit("join.index-lookup")
-			next, err = e.indexJoinLevel(lv, a, combos, spare[:0])
+			err = e.indexJoinLevel(lv, a, combos)
 		default:
-			next, err = e.nestedJoinLevel(lv, combos, spare[:0])
+			err = e.nestedJoinLevel(lv, combos)
 		}
 		if err != nil {
 			return nil, err
 		}
-		spare = combos
-		combos = next
+		combos = lv.out
 	}
 
 	if n.Where == nil {
 		return combos, nil
 	}
-	return e.filterCombos(n, rels, combos)
+	return e.filterCombos(n, rels, combos, len(rels))
 }
 
-func hasNullVal(row *rowVals) bool {
-	for _, v := range row.vals {
+func hasNullVal(row *storage.Row) bool {
+	for _, v := range row.Vals {
 		if v.IsNull() {
 			return true
 		}
@@ -535,8 +553,9 @@ func hasNullVal(row *rowVals) bool {
 	return false
 }
 
-// filterCombos applies the WHERE clause to joined row combinations.
-func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos [][]*rowVals) ([][]*rowVals, error) {
+// filterCombos applies the WHERE clause to flat row combinations of width
+// w, writing the survivors into a new flat slice.
+func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos []*storage.Row, w int) ([]*storage.Row, error) {
 	// Fault site (generic.where-true-drop): the filter loop skips the
 	// first matching row when the WHERE root is an OR over an indexed
 	// column.
@@ -562,13 +581,14 @@ func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos [][]*ro
 	// The WHERE clause binds once per statement; over enough combos it
 	// compiles, and the per-combo cost is a slot-bound program run, not a
 	// tree walk with name resolution.
-	x := e.newExprEval(rels, len(combos))
+	x := e.newExprEval(rels, len(combos)/w)
 	test, err := x.boolFn(n.Where)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]*rowVals, 0, len(combos))
-	for _, combo := range combos {
+	out := make([]*storage.Row, 0, len(combos))
+	for i := 0; i < len(combos); i += w {
+		combo := combos[i : i+w : i+w]
 		x.setRow(combo)
 		tb, err := test()
 		if err != nil {
@@ -581,7 +601,7 @@ func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos [][]*ro
 			dropFirst = false
 			continue
 		}
-		out = append(out, combo)
+		out = append(out, combo...)
 	}
 	return out, nil
 }
@@ -622,13 +642,24 @@ type projCtx struct {
 	x         *exprEval
 	colFns    []func() (sqlval.Value, error)
 	groupKeys []sqlast.Expr
+	w         int // combo width (see joinRows)
 }
 
-// project computes output columns and rows, handling GROUP BY and
-// aggregates.
-func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals) ([]string, [][]sqlval.Value, error) {
+// project computes output columns and rows from flat combos of width w,
+// handling GROUP BY and aggregates.
+func (e *Engine) project(n *sqlast.Select, rels []*relation, combos []*storage.Row, w int) ([]string, [][]sqlval.Value, error) {
 	// Expand result columns.
-	var cols []outCol
+	size := 0
+	for _, rc := range n.Cols {
+		if !rc.Star {
+			size++
+			continue
+		}
+		for _, r := range rels {
+			size += len(r.columns)
+		}
+	}
+	cols := make([]outCol, 0, size)
 	hasAgg := false
 	for i, rc := range n.Cols {
 		if rc.Star {
@@ -658,8 +689,9 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 	}
 
 	// Listing 8 hijack: the double-quoted index part overrides the
-	// renamed column's projected value under DISTINCT.
-	hijack := func(combo []*rowVals) []*rowVals {
+	// renamed column's projected value under DISTINCT. The combo and its
+	// rows are borrowed, so the hijacked row and its combo are copies.
+	hijack := func(combo []*storage.Row) []*storage.Row {
 		if !n.Distinct || e.d != dialect.SQLite || !e.fs.Has(faults.DoubleQuoteIndex) {
 			return combo
 		}
@@ -672,17 +704,14 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 			if st.dqHijackCol < 0 || combo[ri] == nil {
 				continue
 			}
-			if out[ri] == combo[ri] {
-				cp := &rowVals{rowid: combo[ri].rowid, vals: append([]sqlval.Value{}, combo[ri].vals...)}
-				if st.dqHijackCol < len(cp.vals) {
-					cp.vals[st.dqHijackCol] = sqlval.Text(st.dqHijackVal)
-				}
-				if ri == 0 {
-					out = append([]*rowVals{cp}, combo[1:]...)
-				} else {
-					out = append(append(append([]*rowVals{}, combo[:ri]...), cp), combo[ri+1:]...)
-				}
+			cp := combo[ri].Clone()
+			if st.dqHijackCol < len(cp.Vals) {
+				cp.Vals[st.dqHijackCol] = sqlval.Text(st.dqHijackVal)
 			}
+			if &out[0] == &combo[0] {
+				out = slices.Clone(combo)
+			}
+			out[ri] = cp
 		}
 		return out
 	}
@@ -691,7 +720,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 	// group below and never through the scalar path). GROUP BY keys,
 	// HAVING and aggregate arguments share this evaluator, so one
 	// compile-or-interpret choice over the input combos covers them all.
-	x := e.newExprEval(rels, len(combos))
+	x := e.newExprEval(rels, len(combos)/w)
 	colFns := make([]func() (sqlval.Value, error), len(cols))
 	for i, c := range cols {
 		if c.x == nil {
@@ -707,15 +736,15 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 		colFns[i] = fn
 	}
 
-	evalRowInto := func(row []sqlval.Value, combo []*rowVals) error {
+	evalRowInto := func(row []sqlval.Value, combo []*storage.Row) error {
 		combo = hijack(combo)
 		x.setRow(combo)
 		for i, c := range cols {
 			if c.x == nil {
-				if combo[c.rel] == nil || c.col >= len(combo[c.rel].vals) {
+				if combo[c.rel] == nil || c.col >= len(combo[c.rel].Vals) {
 					row[i] = sqlval.Null()
 				} else {
-					row[i] = combo[c.rel].vals[c.col]
+					row[i] = combo[c.rel].Vals[c.col]
 				}
 				continue
 			}
@@ -729,17 +758,16 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 	}
 
 	if len(n.GroupBy) == 0 && !hasAgg {
-		rows := make([][]sqlval.Value, 0, len(combos))
+		nc := len(combos) / w
+		rows := make([][]sqlval.Value, nc)
 		// One arena backs every output row: the per-row make() here was
 		// the single largest allocation site in campaign profiles.
-		arena := make([]sqlval.Value, len(cols)*len(combos))
-		for ci, combo := range combos {
-			row := arena[ci*len(cols) : (ci+1)*len(cols) : (ci+1)*len(cols)]
-			err := evalRowInto(row, combo)
-			if err != nil {
+		arena := make([]sqlval.Value, len(cols)*nc)
+		for ci := range rows {
+			rows[ci] = arena[ci*len(cols) : (ci+1)*len(cols) : (ci+1)*len(cols)]
+			if err := evalRowInto(rows[ci], combos[ci*w:(ci+1)*w:(ci+1)*w]); err != nil {
 				return nil, nil, err
 			}
-			rows = append(rows, row)
 		}
 		return outNames, rows, nil
 	}
@@ -765,7 +793,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 	}
 
 	pc := &projCtx{n: n, rels: rels, cols: cols, outNames: outNames,
-		x: x, colFns: colFns, groupKeys: groupKeys}
+		x: x, colFns: colFns, groupKeys: groupKeys, w: w}
 	if !e.off.Has(strategy.HashAgg) && streamableAgg(cols) {
 		return e.projectGroupedHash(pc, combos)
 	}
@@ -776,13 +804,13 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 // groups resolve by a linear keysEqual scan, every group retains its
 // combos, and aggregates re-iterate them per column. It is the ablation
 // baseline (strategy.HashAgg disabled) the streaming path must match byte-for-byte.
-func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string, [][]sqlval.Value, error) {
-	n, rels, cols, x, colFns, groupKeys :=
-		pc.n, pc.rels, pc.cols, pc.x, pc.colFns, pc.groupKeys
+func (e *Engine) projectGroupedNaive(pc *projCtx, combos []*storage.Row) ([]string, [][]sqlval.Value, error) {
+	n, rels, cols, x, colFns, groupKeys, w :=
+		pc.n, pc.rels, pc.cols, pc.x, pc.colFns, pc.groupKeys, pc.w
 
 	type group struct {
 		key    []sqlval.Value
-		combos [][]*rowVals
+		combos []*storage.Row // flat, width w
 	}
 	var groups []*group
 	if len(groupKeys) == 0 {
@@ -797,7 +825,8 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 			}
 			keyFns[i] = fn
 		}
-		for _, combo := range combos {
+		for ci := 0; ci < len(combos); ci += w {
+			combo := combos[ci : ci+w : ci+w]
 			x.setRow(combo)
 			key := make([]sqlval.Value, len(groupKeys))
 			for i := range keyFns {
@@ -818,7 +847,7 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 				g = &group{key: key}
 				groups = append(groups, g)
 			}
-			g.combos = append(g.combos, combo)
+			g.combos = append(g.combos, combo...)
 		}
 	}
 
@@ -836,9 +865,9 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 	aggs := make([]aggCol, len(cols))
 	var rows [][]sqlval.Value
 	for _, g := range groups {
-		rep := make([]*rowVals, len(rels)) // all-NULL row for empty groups
+		rep := make([]*storage.Row, len(rels)) // all-NULL row for empty groups
 		if len(g.combos) > 0 {
-			rep = g.combos[0]
+			rep = g.combos[:w:w]
 		} else if len(groupKeys) > 0 {
 			continue // only the implicit aggregate group may be empty
 		}
@@ -855,16 +884,16 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 		row := make([]sqlval.Value, len(cols))
 		for i, c := range cols {
 			if c.x == nil {
-				if rep[c.rel] == nil || c.col >= len(rep[c.rel].vals) {
+				if rep[c.rel] == nil || c.col >= len(rep[c.rel].Vals) {
 					row[i] = sqlval.Null()
 				} else {
-					row[i] = rep[c.rel].vals[c.col]
+					row[i] = rep[c.rel].Vals[c.col]
 				}
 				continue
 			}
 			if fc, ok := isAggregate(c.x); ok {
 				aggs[i].fc = fc
-				v, err := e.aggregate(&aggs[i], x, g.combos)
+				v, err := e.aggregate(&aggs[i], x, g.combos, w)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -905,10 +934,10 @@ func keysEqual(a, b []sqlval.Value) bool {
 	return true
 }
 
-// aggregate computes one aggregate over a group. The argument binds
-// through ac (aggCol.bind), so one program serves every group of the
-// statement.
-func (e *Engine) aggregate(ac *aggCol, x *exprEval, combos [][]*rowVals) (sqlval.Value, error) {
+// aggregate computes one aggregate over a group's flat combos of width w.
+// The argument binds through ac (aggCol.bind), so one program serves every
+// group of the statement.
+func (e *Engine) aggregate(ac *aggCol, x *exprEval, combos []*storage.Row, w int) (sqlval.Value, error) {
 	fc := ac.fc
 	e.cov.hit("dql.aggregate." + strings.ToUpper(fc.Name))
 	up := strings.ToUpper(fc.Name)
@@ -926,7 +955,7 @@ func (e *Engine) aggregate(ac *aggCol, x *exprEval, combos [][]*rowVals) (sqlval
 		}
 	}
 	if up == "COUNT" && len(fc.Args) == 0 {
-		return sqlval.Int(int64(len(combos))), nil
+		return sqlval.Int(int64(len(combos) / w)), nil
 	}
 	if len(fc.Args) != 1 {
 		return sqlval.Null(), xerr.New(xerr.CodeType, "aggregate %s expects one argument", fc.Name)
@@ -936,8 +965,8 @@ func (e *Engine) aggregate(ac *aggCol, x *exprEval, combos [][]*rowVals) (sqlval
 		return sqlval.Null(), ac.bindErr
 	}
 	var vals []sqlval.Value
-	for _, combo := range combos {
-		x.setRow(combo)
+	for ci := 0; ci < len(combos); ci += w {
+		x.setRow(combos[ci : ci+w : ci+w])
 		v, err := ac.argFn()
 		if err != nil {
 			return sqlval.Null(), err
@@ -1153,7 +1182,7 @@ func (e *Engine) resolveOrderKeys(n *sqlast.Select, rels []*relation) ([]int, er
 // orderBy sorts output rows in place by the ORDER BY items. Sort keys are
 // recomputed from output rows when the order expression matches an output
 // column; otherwise they must be simple column references.
-func (e *Engine) orderBy(n *sqlast.Select, rels []*relation, rows [][]sqlval.Value, combos [][]*rowVals) error {
+func (e *Engine) orderBy(n *sqlast.Select, rels []*relation, rows [][]sqlval.Value) error {
 	e.cov.hit("dql.order-by")
 	keyIdx, err := e.resolveOrderKeys(n, rels)
 	if err != nil {

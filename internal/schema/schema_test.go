@@ -111,6 +111,20 @@ func TestIndexesOnSorted(t *testing.T) {
 	if len(got) != 2 || got[0].Name != "i1" || got[1].Name != "i2" {
 		t.Errorf("IndexesOn order: %v", got)
 	}
+	// The planner asks once per SELECT: the result slice (grown by two
+	// appends here) is the only allocation, and a table with no index
+	// allocates nothing.
+	if a := testing.AllocsPerRun(10, func() { c.IndexesOn("t0") }); a > 2 {
+		t.Errorf("IndexesOn of two indexes allocates %.0f objects, want at most 2", a)
+	}
+	_ = c.AddTable(table("t1", Column{Name: "c0"}))
+	if a := testing.AllocsPerRun(10, func() {
+		if c.IndexesOn("t1") != nil {
+			t.Error("IndexesOn of an unindexed table is not nil")
+		}
+	}); a != 0 {
+		t.Errorf("IndexesOn of an unindexed table allocates %.0f objects", a)
+	}
 	if names := c.IndexNames(); len(names) != 2 || names[0] != "i1" {
 		t.Errorf("IndexNames = %v", names)
 	}

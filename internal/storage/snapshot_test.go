@@ -6,7 +6,7 @@ import (
 	"repro/internal/sqlval"
 )
 
-func rowVals(t *testing.T, td *TableData, rowid int64) []sqlval.Value {
+func valsOf(t *testing.T, td *TableData, rowid int64) []sqlval.Value {
 	t.Helper()
 	r, ok := td.Get(rowid)
 	if !ok {
@@ -37,7 +37,7 @@ func TestTableSnapshotRestore(t *testing.T) {
 		t.Fatalf("restored len = %d, want 2", td.Len())
 	}
 	for rid, want := range map[int64]int64{1: 1, 2: 2} {
-		vals := rowVals(t, td, rid)
+		vals := valsOf(t, td, rid)
 		if len(vals) != 1 {
 			t.Fatalf("rowid %d width %d after restore (AddColumn leaked through cow)", rid, len(vals))
 		}
@@ -63,8 +63,8 @@ func TestTableSnapshotSurvivesRepeatedRestore(t *testing.T) {
 		if td.Len() != 1 {
 			t.Fatalf("round %d: len = %d, want 1", i, td.Len())
 		}
-		if got := rowVals(t, td, 1)[0].Int64(); got != 1 {
-			t.Fatalf("round %d: rowid 1 = %v, want 1", i, rowVals(t, td, 1)[0])
+		if got := valsOf(t, td, 1)[0].Int64(); got != 1 {
+			t.Fatalf("round %d: rowid 1 = %v, want 1", i, valsOf(t, td, 1)[0])
 		}
 	}
 }
@@ -82,8 +82,8 @@ func TestInterleavedSnapshots(t *testing.T) {
 	if td.Len() != 2 {
 		t.Fatalf("snapB len = %d, want 2", td.Len())
 	}
-	if got := rowVals(t, td, 2)[0].Int64(); got != 2 {
-		t.Errorf("snapB rowid 2 = %v, want 2 (append-after-restore aliasing)", rowVals(t, td, 2)[0])
+	if got := valsOf(t, td, 2)[0].Int64(); got != 2 {
+		t.Errorf("snapB rowid 2 = %v, want 2 (append-after-restore aliasing)", valsOf(t, td, 2)[0])
 	}
 }
 

@@ -12,6 +12,12 @@ import (
 )
 
 // Row is one stored row. Vals is indexed by column position.
+//
+// Nothing changes a stored row during a read statement: only DDL
+// (AddColumn, after unshare) rewrites a row in place, and DDL never runs
+// inside a SELECT. The executor relies on this: its scans and joins
+// borrow the heap's rows instead of copying them, and it never writes
+// through a borrowed row.
 type Row struct {
 	Rowid int64
 	Vals  []sqlval.Value
