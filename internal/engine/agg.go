@@ -53,7 +53,7 @@ type aggCol struct {
 	direct   bool
 	rel, col int
 	bound    bool
-	argFn    func() (sqlval.Value, error)
+	arg      boundExpr
 	bindErr  error
 }
 
@@ -65,7 +65,7 @@ func (ac *aggCol) bind(x *exprEval) {
 		return
 	}
 	ac.bound = true
-	ac.argFn, ac.bindErr = x.valueFn(ac.fc.Args[0])
+	ac.arg, ac.bindErr = x.bind(ac.fc.Args[0])
 }
 
 // aggOp is the accumulate dispatch enum (the per-row hot path; string
@@ -189,7 +189,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos []*storage.Row) ([]strin
 	type keyGetter struct {
 		direct   bool
 		rel, col int
-		fn       func() (sqlval.Value, error)
+		fn       boundExpr
 	}
 	keyGets := make([]keyGetter, len(pc.groupKeys))
 	for i, gx := range pc.groupKeys {
@@ -197,7 +197,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos []*storage.Row) ([]strin
 			keyGets[i] = keyGetter{direct: true, rel: ri, col: ci}
 			continue
 		}
-		fn, err := x.valueFn(gx)
+		fn, err := x.bind(gx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -377,7 +377,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos []*storage.Row) ([]strin
 						}
 					} else {
 						var err error
-						v, err = kg.fn()
+						v, err = kg.fn.value()
 						if err != nil {
 							return nil, nil, err
 						}
@@ -453,7 +453,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos []*storage.Row) ([]strin
 					continue
 				}
 				var err error
-				v, err = ac.argFn()
+				v, err = ac.arg.value()
 				if err != nil {
 					cell.err = err
 					continue
@@ -466,19 +466,18 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos []*storage.Row) ([]strin
 	// Output pass: groups in first-occurrence order, HAVING on the
 	// representative row, cells finalized in column order — the same
 	// (group, column) error order as the materialized path.
-	var havingTest func() (sqlval.TriBool, error)
+	var having boundExpr
 	if n.Having != nil {
 		var err error
-		havingTest, err = x.boolFn(n.Having)
-		if err != nil {
+		if having, err = x.bind(n.Having); err != nil {
 			return nil, nil, err
 		}
 	}
 	var rows [][]sqlval.Value
 	for _, g := range groups {
-		if havingTest != nil {
+		if n.Having != nil {
 			x.setRow(g.rep)
-			tb, err := havingTest()
+			tb, err := having.test()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -505,7 +504,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos []*storage.Row) ([]strin
 				continue
 			}
 			x.setRow(g.rep)
-			v, err := pc.colFns[i]()
+			v, err := pc.colFns[i].value()
 			if err != nil {
 				return nil, nil, err
 			}

@@ -76,11 +76,7 @@ func TestLargeEquiJoinBytes(t *testing.T) {
 // execution, averaged over repeated runs on one P.
 func bytesPerQuery(t *testing.T, e *Engine, query string) uint64 {
 	t.Helper()
-	st, err := sqlparse.ParseOne(query, dialect.SQLite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := st.(*sqlast.Select)
+	sel := parseSelect(t, query)
 	const runs = 100
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
@@ -92,4 +88,46 @@ func bytesPerQuery(t *testing.T, e *Engine, query string) uint64 {
 	}
 	runtime.ReadMemStats(&after)
 	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// parseSelect parses a SQLite SELECT.
+func parseSelect(t *testing.T, query string) *sqlast.Select {
+	t.Helper()
+	st, err := sqlparse.ParseOne(query, dialect.SQLite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*sqlast.Select)
+}
+
+// TestWarmQueryAllocs is a tripwire for per-statement setup allocations:
+// on a warmed engine a SELECT reuses its frame (stmtScratch) and binds
+// clauses without closures, so a filtered 8-row SELECT (compiled: its 8
+// rows reach compileMinRows) and a 4×4 nested-loop join each allocate at
+// most the objects measured when the frames were introduced, result and
+// compiled programs included.
+func TestWarmQueryAllocs(t *testing.T) {
+	withThreshold(t, compileMinRows)
+	filtered, sel := crossoverEngine(t, 8)
+	joined := Open(dialect.SQLite)
+	seedJoinPair(t, joined, 4)
+	join := parseSelect(t, "SELECT big0.v, big1.v FROM big0 JOIN big1 ON big0.k < big1.k")
+	for _, c := range []struct {
+		name string
+		e    *Engine
+		sel  *sqlast.Select
+		max  float64
+	}{
+		{"filtered 8-row SELECT", filtered, sel, 35},
+		{"4x4 join", joined, join, 13},
+	} {
+		a := testing.AllocsPerRun(50, func() {
+			if _, err := c.e.ExecStmt(c.sel); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if a > c.max {
+			t.Errorf("%s allocates %.0f objects per query, want <= %.0f", c.name, a, c.max)
+		}
+	}
 }

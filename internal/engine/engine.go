@@ -100,6 +100,12 @@ type Engine struct {
 	commitLog []commitRecord
 
 	cov *Coverage
+
+	// scratch holds SELECT setup state reused across statements, one
+	// frame per nesting depth; depth is the number of SELECTs running
+	// (scratch.go).
+	scratch [scratchDepth]stmtScratch
+	depth   int
 }
 
 // Option configures an Engine at Open time.
@@ -352,10 +358,19 @@ func (e *Engine) tableState(name string) *tableState {
 	return ts
 }
 
+// lower folds ASCII upper case, returning s itself when it has none (the
+// common case: generated names are lower-case).
 func lower(s string) string {
+	i := 0
+	for i < len(s) && (s[i] < 'A' || s[i] > 'Z') {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
 	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
+	for ; i < len(b); i++ {
+		if c := b[i]; c >= 'A' && c <= 'Z' {
 			b[i] = c + 'a' - 'A'
 		}
 	}

@@ -528,12 +528,12 @@ func (e *Engine) comboJoinKey(buf []byte, combo []*storage.Row, keys []equiKey, 
 // The level's input combos have width level (see joinRows); its output
 // combos have width level+1.
 type joinLevel struct {
-	n      *sqlast.Select
-	rels   []*relation
-	level  int
-	j      joinInfo
-	onEval *exprEval
-	onTest func() (sqlval.TriBool, error)
+	n     *sqlast.Select
+	rels  []*relation
+	level int
+	j     joinInfo
+	// on is the bound ON condition (unbound when j.on is nil).
+	on boundExpr
 	// leftDrop arms the postgres.left-join-drop fault on a LEFT level.
 	leftDrop bool
 	// out receives the level's combos, flat.
@@ -548,9 +548,9 @@ type joinLevel struct {
 func (lv *joinLevel) pair(combo []*storage.Row, row *storage.Row, skipTest bool) (matched bool, err error) {
 	tail := len(lv.out)
 	lv.out = append(append(lv.out, combo...), row)
-	if lv.onTest != nil && !skipTest {
-		lv.onEval.setRow(lv.out[tail:])
-		tb, err := lv.onTest()
+	if lv.j.on != nil && !skipTest {
+		lv.on.x.setRow(lv.out[tail:])
+		tb, err := lv.on.test()
 		if err != nil {
 			return false, err
 		}

@@ -261,11 +261,12 @@ func (e *Engine) predCollation(p sargPred, col *schema.Column) sqlval.Collation 
 }
 
 // chooseAccessPath runs simple row-count costing over the table's indexes
-// against the sargable predicates and returns the cheapest access path.
-// It returns nil when a full scan wins (or nothing else is eligible).
-func (e *Engine) chooseAccessPath(n *sqlast.Select, t *schema.Table, relName string) *AccessPath {
+// ixs against the sargable predicates and returns the cheapest access
+// path. It returns nil when a full scan wins (or nothing else is
+// eligible), without analysing the WHERE clause when there is no index.
+func (e *Engine) chooseAccessPath(n *sqlast.Select, t *schema.Table, relName string, ixs []*schema.Index) *AccessPath {
 	td := e.data[lower(t.Name)]
-	if td == nil {
+	if td == nil || len(ixs) == 0 {
 		return nil
 	}
 	rows := td.Len()
@@ -277,7 +278,7 @@ func (e *Engine) chooseAccessPath(n *sqlast.Select, t *schema.Table, relName str
 	best := full
 	probe := 0.5 * math.Log2(float64(rows)+1)
 
-	for _, ix := range e.cat.IndexesOn(t.Name) {
+	for _, ix := range ixs {
 		if ix.Where != nil {
 			continue
 		}
@@ -492,7 +493,8 @@ func (e *Engine) planSelect(sel *sqlast.Select) ([]AccessPath, error) {
 			out = append(out, full)
 			continue
 		}
-		if ix := e.impliedPartialIndex(sel.Where, t.Name); ix != nil {
+		ixs := e.cat.IndexesOn(t.Name)
+		if ix := e.impliedPartialIndex(sel.Where, ixs); ix != nil {
 			est := e.idxLen(ix.Name)
 			out = append(out, AccessPath{
 				Table: name, Kind: PathPartialIndex, Index: ix.Name,
@@ -500,7 +502,7 @@ func (e *Engine) planSelect(sel *sqlast.Select) ([]AccessPath, error) {
 			})
 			continue
 		}
-		if p := e.chooseAccessPath(sel, t, name); p != nil {
+		if p := e.chooseAccessPath(sel, t, name, ixs); p != nil {
 			out = append(out, *p)
 		} else {
 			out = append(out, full)
@@ -652,17 +654,28 @@ func (e *Engine) plannable(t *schema.Table) bool {
 	return !e.off.Has(strategy.Planner) && !t.IsView && len(t.Children) == 0
 }
 
-// impliedPartialIndex returns the first partial index whose predicate the
-// WHERE clause implies.
-func (e *Engine) impliedPartialIndex(where sqlast.Expr, table string) *schema.Index {
+// impliedPartialIndex returns the first of a table's indexes ixs that is
+// partial and whose predicate the WHERE clause implies. The WHERE
+// clause's conjuncts are split and rendered once, and only when the table
+// has a partial index.
+func (e *Engine) impliedPartialIndex(where sqlast.Expr, ixs []*schema.Index) *schema.Index {
 	if where == nil {
 		return nil
 	}
-	for _, ix := range e.cat.IndexesOn(table) {
+	var conjs []sqlast.Expr
+	var conjSQL []string
+	for _, ix := range ixs {
 		if ix.Where == nil {
 			continue
 		}
-		if e.predicateImplies(where, ix.Where) {
+		if conjs == nil {
+			conjs = conjuncts(where)
+			conjSQL = make([]string, len(conjs))
+			for i, c := range conjs {
+				conjSQL[i] = sqlast.ExprSQL(sqlast.StripQualifiers(c), e.d)
+			}
+		}
+		if e.predicateImplies(conjs, conjSQL, ix.Where) {
 			return ix
 		}
 	}

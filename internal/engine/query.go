@@ -25,35 +25,32 @@ type joinInfo struct {
 
 func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 	e.cov.hit("dql.select")
-	// Resolve sources.
-	rels := make([]*relation, 0, len(n.From)+len(n.Joins))
-	joins := make([]joinInfo, 0, max(cap(rels)-1, 0)) // parallel to rels[1:]
+	s := e.enterStmt()
+	defer e.leaveStmt(s)
+	// Resolve sources into the frame's relation headers.
+	rels, joins := s.sources(len(n.From) + len(n.Joins))
 	single := len(n.From) == 1 && len(n.Joins) == 0
-	for _, tr := range n.From {
-		var r *relation
+	for i, tr := range n.From {
 		var err error
 		if single {
 			// Single-source queries go through the planner: the access
 			// path is chosen before materialization, so an index probe
 			// fetches only candidate rows instead of the whole heap.
-			r, err = e.buildPlannedRelation(n, tr)
+			err = e.buildPlannedRelation(rels[i], n, tr)
 		} else {
-			r, err = e.buildRelation(tr)
+			err = e.buildRelation(rels[i], tr)
 		}
 		if err != nil {
 			return nil, err
 		}
-		rels = append(rels, r)
-		if len(rels) > 1 {
+		if i > 0 {
 			joins = append(joins, joinInfo{kind: sqlast.JoinCross})
 		}
 	}
-	for _, jc := range n.Joins {
-		r, err := e.buildRelation(jc.Table)
-		if err != nil {
+	for i, jc := range n.Joins {
+		if err := e.buildRelation(rels[len(n.From)+i], jc.Table); err != nil {
 			return nil, err
 		}
-		rels = append(rels, r)
 		joins = append(joins, joinInfo{kind: jc.Kind, on: jc.On})
 	}
 	if err := e.preQueryFaults(n, rels); err != nil {
@@ -62,7 +59,7 @@ func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 
 	// Join / cross product with WHERE filtering. The combos come back
 	// flat, w rows each (see joinRows).
-	combos, err := e.joinRows(n, rels, joins)
+	combos, err := e.joinRows(s, n, rels, joins)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +80,7 @@ func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 	}
 
 	// GROUP BY / aggregates.
-	outCols, outRows, err := e.project(n, rels, combos, w)
+	outCols, outRows, err := e.project(s, n, rels, combos, w)
 	if err != nil {
 		return nil, err
 	}
@@ -115,11 +112,11 @@ func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 	return &Result{Columns: outCols, Rows: outRows}, nil
 }
 
-// buildRelation materializes one FROM source.
-func (e *Engine) buildRelation(tr sqlast.TableRef) (*relation, error) {
+// buildRelation materializes one FROM source into r.
+func (e *Engine) buildRelation(r *relation, tr sqlast.TableRef) error {
 	t, ok := e.cat.Table(tr.Name)
 	if !ok {
-		return nil, xerr.New(xerr.CodeNoObject, "no such table: %s", tr.Name)
+		return xerr.New(xerr.CodeNoObject, "no such table: %s", tr.Name)
 	}
 	name := tr.Name
 	if tr.Alias != "" {
@@ -128,18 +125,18 @@ func (e *Engine) buildRelation(tr sqlast.TableRef) (*relation, error) {
 	if t.IsView {
 		res, err := e.execSelect(t.ViewDef)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &relation{name: name, columns: t.Columns, rows: make([]*storage.Row, len(res.Rows))}
+		*r = relation{name: name, columns: t.Columns, rows: make([]*storage.Row, len(res.Rows))}
 		arena := make([]storage.Row, len(res.Rows))
 		for i, row := range res.Rows {
 			arena[i].Vals = row
 			r.rows[i] = &arena[i]
 		}
 		e.cov.hit("dql.view-scan")
-		return r, nil
+		return nil
 	}
-	r := &relation{name: name, table: t.Name, columns: t.Columns, engine: t.Engine}
+	*r = relation{name: name, table: t.Name, columns: t.Columns, engine: t.Engine}
 	td := e.data[lower(t.Name)]
 	st := e.tableState(t.Name)
 
@@ -185,7 +182,7 @@ func (e *Engine) buildRelation(tr sqlast.TableRef) (*relation, error) {
 		}
 		e.cov.hit("dql.inheritance-scan")
 	}
-	return r, nil
+	return nil
 }
 
 // preQueryFaults raises the error-oracle faults that trigger on SELECT.
@@ -265,21 +262,21 @@ func (e *Engine) planCandidates(n *sqlast.Select, t *schema.Table, relName strin
 		return nil, false
 	}
 	st := e.tableState(t.Name)
+	// Every path below chooses among the table's indexes: fetch them once.
+	ixs := e.cat.IndexesOn(t.Name)
 
 	// Partial-index enumeration: usable when the WHERE clause implies the
 	// index predicate.
-	if n.Where != nil {
-		if ix := e.impliedPartialIndex(n.Where, t.Name); ix != nil {
-			e.cov.hit("plan.partial-index-scan")
-			return e.idxRowids(ix), true
-		}
+	if ix := e.impliedPartialIndex(n.Where, ixs); ix != nil {
+		e.cov.hit("plan.partial-index-scan")
+		return e.idxRowids(ix), true
 	}
 
 	// Fault site (sqlite.skip-scan-distinct, Listing 6): after ANALYZE, a
 	// DISTINCT query uses a skip-scan over a multi-column index and drops
 	// rows whose leading key repeats.
 	if e.d == dialect.SQLite && e.fs.Has(faults.SkipScanDistinct) && n.Distinct && st.analyzed {
-		for _, ix := range e.cat.IndexesOn(t.Name) {
+		for _, ix := range ixs {
 			if ix.Where != nil || len(ix.Parts) < 2 {
 				continue
 			}
@@ -304,7 +301,7 @@ func (e *Engine) planCandidates(n *sqlast.Select, t *schema.Table, relName strin
 
 	// Cost-based access-path selection: full scan vs index point lookup vs
 	// index range scan, by simple row-count costing (see plan.go).
-	if path := e.chooseAccessPath(n, t, relName); path != nil {
+	if path := e.chooseAccessPath(n, t, relName, ixs); path != nil {
 		switch path.Kind {
 		case PathIndexEq:
 			e.cov.hit("plan.index-eq-lookup")
@@ -319,16 +316,16 @@ func (e *Engine) planCandidates(n *sqlast.Select, t *schema.Table, relName strin
 	return nil, false
 }
 
-// buildPlannedRelation materializes a single FROM source through the
-// planner: when an index path is chosen, only the candidate rowids are
+// buildPlannedRelation materializes a single FROM source into r through
+// the planner: when an index path is chosen, only the candidate rowids are
 // fetched from the heap — point lookups cost O(log n), not O(n).
-func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*relation, error) {
+func (e *Engine) buildPlannedRelation(r *relation, n *sqlast.Select, tr sqlast.TableRef) error {
 	t, ok := e.cat.Table(tr.Name)
 	if !ok {
-		return nil, xerr.New(xerr.CodeNoObject, "no such table: %s", tr.Name)
+		return xerr.New(xerr.CodeNoObject, "no such table: %s", tr.Name)
 	}
 	if !e.plannable(t) {
-		return e.buildRelation(tr)
+		return e.buildRelation(r, tr)
 	}
 	name := tr.Name
 	if tr.Alias != "" {
@@ -336,7 +333,7 @@ func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*re
 	}
 	rowids, restricted := e.planCandidates(n, t, name)
 	if !restricted {
-		return e.buildRelation(tr)
+		return e.buildRelation(r, tr)
 	}
 	st := e.tableState(t.Name)
 	// Fault site (sqlite.rowid-alias-crash): resolving rows after RENAME
@@ -345,7 +342,7 @@ func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*re
 		panic(crashPanic{site: "rowid_alias_resolve"})
 	}
 	td := e.data[lower(t.Name)]
-	r := &relation{name: name, table: t.Name, columns: t.Columns, engine: t.Engine}
+	*r = relation{name: name, table: t.Name, columns: t.Columns, engine: t.Engine}
 	// Deduplicate and fetch in rowid order, matching heap-scan order. Every
 	// planCandidates path returns a fresh slice, so it sorts in place.
 	slices.Sort(rowids)
@@ -367,17 +364,18 @@ func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*re
 		}
 		r.rows = append(r.rows, row)
 	}
-	return r, nil
+	return nil
 }
 
 // predicateImplies reports whether `where` implies the partial-index
-// predicate. The correct engine is deliberately conservative: structural
-// equality of the predicate with the WHERE clause or one of its AND
-// conjuncts.
-func (e *Engine) predicateImplies(where, pred sqlast.Expr) bool {
+// predicate pred, given where's AND conjuncts conjs and their renderings
+// without qualifiers, conjSQL. The correct engine is deliberately
+// conservative: structural equality of the predicate with one of the
+// conjuncts (the whole WHERE clause when it is not an AND).
+func (e *Engine) predicateImplies(conjs []sqlast.Expr, conjSQL []string, pred sqlast.Expr) bool {
 	predSQL := sqlast.ExprSQL(sqlast.StripQualifiers(pred), e.d)
-	for _, conj := range conjuncts(where) {
-		if sqlast.ExprSQL(sqlast.StripQualifiers(conj), e.d) == predSQL {
+	for i, conj := range conjs {
+		if conjSQL[i] == predSQL {
 			return true
 		}
 		// Fault site (sqlite.partial-index-not-null, Listing 1): the
@@ -442,15 +440,16 @@ const (
 // with w = len(rels) (1 for a FROM-less SELECT, whose one combination is
 // a nil row), combination i is rows[i*w:(i+1)*w]. A single source's rows
 // pass through as width-1 combinations without a copy, so the result may
-// alias a borrowed heap: callers read it and never write through it.
-func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) ([]*storage.Row, error) {
+// alias a borrowed heap, or else a buffer of the statement's frame s:
+// callers read it and never write through it.
+func (e *Engine) joinRows(s *stmtScratch, n *sqlast.Select, rels []*relation, joins []joinInfo) ([]*storage.Row, error) {
 	// FROM-less SELECT evaluates over a single empty row (SELECT 1).
 	if len(rels) == 0 {
-		combos := []*storage.Row{nil}
+		combos := s.noRows[:]
 		if n.Where == nil {
 			return combos, nil
 		}
-		return e.filterCombos(n, rels, combos, 1)
+		return e.filterCombos(s, n, rels, combos, 1)
 	}
 	// Fault site (generic.join-predicate-pushdown): with two FROM tables
 	// and a WHERE touching only the second, the "pushdown" also prunes
@@ -469,27 +468,28 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 	}
 
 	// The first relation's rows are its width-1 combos. Each level i
-	// appends (combo, row) pairs of width i+1 to a fresh flat slice.
+	// appends (combo, row) pairs of width i+1 to a flat buffer of the
+	// frame, alternating between its two (see stmtScratch.combos).
 	combos := rels[0].rows
 	crossOK := e.crossPrefilterOK(n, rels)
+	onEvals := s.onEvals(len(rels) - 1)
 	for i := 1; i < len(rels); i++ {
 		j := joins[i-1]
 		l, r := len(combos)/i, len(rels[i].rows)
 		// The ON condition is bound once per join level — against the
 		// layout prefix visible at this level, so unqualified-name
 		// resolution (and its ambiguity rules) match the tree-walk env —
-		// and the resulting closure runs per row pair. Binding, and the
+		// and the bound clause runs per row pair. Binding, and the
 		// compile-or-interpret choice over the level's L×R pairs, happen
 		// before strategy dispatch, so bind errors (missing or ambiguous
 		// columns) and the evaluation path are identical on every join
 		// path.
-		var onEval *exprEval
-		var onTest func() (sqlval.TriBool, error)
+		var on boundExpr
 		if j.on != nil {
-			onEval = e.newExprEval(rels[:i+1], l*r)
+			x := &onEvals[i-1]
+			x.reset(e, rels[:i+1], l*r)
 			var err error
-			onTest, err = onEval.boolFn(j.on)
-			if err != nil {
+			if on, err = x.bind(j.on); err != nil {
 				return nil, err
 			}
 		}
@@ -518,9 +518,9 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 		} else {
 			size = min(size, joinPresizeMax)
 		}
-		lv := &joinLevel{n: n, rels: rels, level: i, j: j, onEval: onEval, onTest: onTest,
+		lv := &joinLevel{n: n, rels: rels, level: i, j: j, on: on,
 			leftDrop: j.kind == sqlast.JoinLeft && e.d == dialect.Postgres && e.fs.Has(faults.LeftJoinDrop),
-			out:      make([]*storage.Row, 0, size)}
+			out:      s.comboBuf(i%2, size)}
 		var err error
 		switch strat {
 		case JoinHash:
@@ -532,6 +532,7 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 		default:
 			err = e.nestedJoinLevel(lv, combos)
 		}
+		s.combos[i%2] = lv.out
 		if err != nil {
 			return nil, err
 		}
@@ -541,7 +542,7 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 	if n.Where == nil {
 		return combos, nil
 	}
-	return e.filterCombos(n, rels, combos, len(rels))
+	return e.filterCombos(s, n, rels, combos, len(rels))
 }
 
 func hasNullVal(row *storage.Row) bool {
@@ -554,8 +555,9 @@ func hasNullVal(row *storage.Row) bool {
 }
 
 // filterCombos applies the WHERE clause to flat row combinations of width
-// w, writing the survivors into a new flat slice.
-func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos []*storage.Row, w int) ([]*storage.Row, error) {
+// w, writing the survivors into the frame's combo buffer that combos is
+// not in: the one the last join level (len(rels)-1) did not write.
+func (e *Engine) filterCombos(s *stmtScratch, n *sqlast.Select, rels []*relation, combos []*storage.Row, w int) ([]*storage.Row, error) {
 	// Fault site (generic.where-true-drop): the filter loop skips the
 	// first matching row when the WHERE root is an OR over an indexed
 	// column.
@@ -581,16 +583,21 @@ func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos []*stor
 	// The WHERE clause binds once per statement; over enough combos it
 	// compiles, and the per-combo cost is a slot-bound program run, not a
 	// tree walk with name resolution.
-	x := e.newExprEval(rels, len(combos)/w)
-	test, err := x.boolFn(n.Where)
+	x := &s.where
+	x.reset(e, rels, len(combos)/w)
+	where, err := x.bind(n.Where)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*storage.Row, 0, len(combos))
+	k := len(rels) % 2
+	out := s.comboBuf(k, len(combos))
+	// The filter writes at most len(combos) pointers; the frame clears
+	// that many when the statement ends.
+	s.combos[k] = out[:len(combos)]
 	for i := 0; i < len(combos); i += w {
 		combo := combos[i : i+w : i+w]
 		x.setRow(combo)
-		tb, err := test()
+		tb, err := where.test()
 		if err != nil {
 			return nil, err
 		}
@@ -640,14 +647,16 @@ type projCtx struct {
 	cols      []outCol
 	outNames  []string
 	x         *exprEval
-	colFns    []func() (sqlval.Value, error)
+	colFns    []boundExpr
 	groupKeys []sqlast.Expr
 	w         int // combo width (see joinRows)
 }
 
 // project computes output columns and rows from flat combos of width w,
-// handling GROUP BY and aggregates.
-func (e *Engine) project(n *sqlast.Select, rels []*relation, combos []*storage.Row, w int) ([]string, [][]sqlval.Value, error) {
+// handling GROUP BY and aggregates. The column list, its bound
+// expressions and their evaluator live in the statement's frame s; the
+// names and rows it returns do not.
+func (e *Engine) project(s *stmtScratch, n *sqlast.Select, rels []*relation, combos []*storage.Row, w int) ([]string, [][]sqlval.Value, error) {
 	// Expand result columns.
 	size := 0
 	for _, rc := range n.Cols {
@@ -659,7 +668,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos []*storage.R
 			size += len(r.columns)
 		}
 	}
-	cols := make([]outCol, 0, size)
+	cols := scratchBuf(s.cols, size)
 	hasAgg := false
 	for i, rc := range n.Cols {
 		if rc.Star {
@@ -683,6 +692,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos []*storage.R
 		}
 		cols = append(cols, outCol{name: name, x: rc.X, rel: -1})
 	}
+	s.cols = cols
 	outNames := make([]string, len(cols))
 	for i := range cols {
 		outNames[i] = cols[i].name
@@ -720,8 +730,10 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos []*storage.R
 	// group below and never through the scalar path). GROUP BY keys,
 	// HAVING and aggregate arguments share this evaluator, so one
 	// compile-or-interpret choice over the input combos covers them all.
-	x := e.newExprEval(rels, len(combos)/w)
-	colFns := make([]func() (sqlval.Value, error), len(cols))
+	x := &s.proj
+	x.reset(e, rels, len(combos)/w)
+	colFns := scratchBuf(s.colFns, len(cols))[:len(cols)]
+	s.colFns = colFns
 	for i, c := range cols {
 		if c.x == nil {
 			continue
@@ -729,11 +741,10 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos []*storage.R
 		if _, ok := isAggregate(c.x); ok {
 			continue
 		}
-		fn, err := x.valueFn(c.x)
-		if err != nil {
+		var err error
+		if colFns[i], err = x.bind(c.x); err != nil {
 			return nil, nil, err
 		}
-		colFns[i] = fn
 	}
 
 	evalRowInto := func(row []sqlval.Value, combo []*storage.Row) error {
@@ -748,7 +759,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos []*storage.R
 				}
 				continue
 			}
-			v, err := colFns[i]()
+			v, err := colFns[i].value()
 			if err != nil {
 				return err
 			}
@@ -817,20 +828,19 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos []*storage.Row) ([]stri
 		// Implicit single group over all rows (pure-aggregate query).
 		groups = []*group{{combos: combos}}
 	} else {
-		keyFns := make([]func() (sqlval.Value, error), len(groupKeys))
+		keyFns := make([]boundExpr, len(groupKeys))
 		for i, gx := range groupKeys {
-			fn, err := x.valueFn(gx)
-			if err != nil {
+			var err error
+			if keyFns[i], err = x.bind(gx); err != nil {
 				return nil, nil, err
 			}
-			keyFns[i] = fn
 		}
 		for ci := 0; ci < len(combos); ci += w {
 			combo := combos[ci : ci+w : ci+w]
 			x.setRow(combo)
 			key := make([]sqlval.Value, len(groupKeys))
 			for i := range keyFns {
-				v, err := keyFns[i]()
+				v, err := keyFns[i].value()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -851,11 +861,10 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos []*storage.Row) ([]stri
 		}
 	}
 
-	var havingTest func() (sqlval.TriBool, error)
+	var having boundExpr
 	if n.Having != nil {
 		var err error
-		havingTest, err = x.boolFn(n.Having)
-		if err != nil {
+		if having, err = x.bind(n.Having); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -871,9 +880,9 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos []*storage.Row) ([]stri
 		} else if len(groupKeys) > 0 {
 			continue // only the implicit aggregate group may be empty
 		}
-		if havingTest != nil {
+		if n.Having != nil {
 			x.setRow(rep)
-			tb, err := havingTest()
+			tb, err := having.test()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -903,7 +912,7 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos []*storage.Row) ([]stri
 			// setRow per column: the aggregate above iterates the group's
 			// combos and leaves the evaluation state on the last one.
 			x.setRow(rep)
-			v, err := colFns[i]()
+			v, err := colFns[i].value()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -967,7 +976,7 @@ func (e *Engine) aggregate(ac *aggCol, x *exprEval, combos []*storage.Row, w int
 	var vals []sqlval.Value
 	for ci := 0; ci < len(combos); ci += w {
 		x.setRow(combos[ci : ci+w : ci+w])
-		v, err := ac.argFn()
+		v, err := ac.arg.value()
 		if err != nil {
 			return sqlval.Null(), err
 		}

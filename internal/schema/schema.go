@@ -325,6 +325,7 @@ func Describe(t *Table) TableInfo {
 		Engine:       t.Engine,
 		Parent:       t.Parent,
 		IsView:       t.IsView,
+		Columns:      make([]ColumnInfo, 0, len(t.Columns)),
 	}
 	for _, col := range t.Columns {
 		ti.Columns = append(ti.Columns, ColumnInfo{
