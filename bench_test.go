@@ -1,6 +1,9 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§4), plus the throughput claim (§3.4), the baseline
-// comparison (§4.1/§6), and the ablations called out in DESIGN.md.
+// Benchmark harness: the single definition of every paper experiment —
+// one benchmark per table and figure of the evaluation (§4), the
+// throughput claim (§3.4) and the baseline comparison (§4.1/§6) — plus the
+// ablations called out in DESIGN.md, the §7 extension, and the
+// single-operator benchmarks and tripwires. Campaign throughput per
+// oracle and dialect is measured by the campaignbench workloads, not here.
 //
 // Absolute numbers differ from the paper — the system under test is our
 // engine substrate with injected ground-truth bugs, not SQLite/MySQL/
@@ -8,7 +11,9 @@
 // oracle finds most bugs, which dialect yields most, how small reduced
 // test cases are, and that fuzzers find no logic bugs.
 //
-// Run: go test -bench=. -benchmem
+// Run the paper's tables and figures:
+//
+//	go test -run='^$' -bench='Table|Figure|ThroughputStatements|BaselineComparison' -benchtime=1x .
 package repro
 
 import (
@@ -44,12 +49,21 @@ var (
 	corpusData map[dialect.Dialect][]runner.Result
 )
 
-// corpus runs one campaign per registered fault (cached across benches).
+// corpus runs one campaign per registered fault of every dialect through
+// one shared scheduler sweep (cached across benches). Canonical results do
+// not depend on the schedule, so one pool gives the per-dialect numbers
+// three sweeps would.
 func corpus() map[dialect.Dialect][]runner.Result {
 	corpusOnce.Do(func() {
-		corpusData = map[dialect.Dialect][]runner.Result{}
+		var all []runner.Campaign
 		for _, d := range dialect.All {
-			corpusData[d] = runner.RunCorpus(d, corpusBudget, 1, true)
+			all = append(all, runner.CorpusCampaigns(d, corpusBudget, 1, true)...)
+		}
+		corpusData = map[dialect.Dialect][]runner.Result{}
+		s := &runner.Scheduler{}
+		for i, r := range s.Sweep(context.Background(), all) {
+			d := all[i].Dialect
+			corpusData[d] = append(corpusData[d], r)
 		}
 	})
 	return corpusData
@@ -126,36 +140,53 @@ func BenchmarkTable2BugReports(b *testing.B) {
 
 // BenchmarkTable3Oracles reproduces Table 3: which oracle found each bug —
 // extended with the metamorphic oracles (TLP/NoREC) that catch the
-// whole-result-set faults PQS's pivot tracking is blind to.
+// whole-result-set faults PQS's pivot tracking is blind to, and the
+// serializability and crash-recovery oracles of the transaction and pager
+// faults. Every detection lands in exactly one column, so each row sums
+// to the dialect's Table 2 detected count.
 func BenchmarkTable3Oracles(b *testing.B) {
 	data := corpus()
+	columns := []faults.Oracle{
+		faults.OracleContainment, faults.OracleError, faults.OracleCrash,
+		faults.OracleTLP, faults.OracleNoREC, faults.OracleSerializability, faults.OracleRecovery,
+	}
 	t := &report.Table{
 		Title:   "Table 3: detections per oracle (paper: 61 contains / 34 error / 4 segfault)",
-		Headers: []string{"DBMS", "Contains", "Error", "SEGFAULT", "TLP", "NoREC"},
+		Headers: []string{"DBMS", "Contains", "Error", "SEGFAULT", "TLP", "NoREC", "Serializability", "Recovery"},
 		Note:    "Shape check: containment >> error > segfault, as in the paper; TLP/NoREC add the PQS-blind metamorphic faults.",
+	}
+	row := func(name string, counts map[faults.Oracle]int) {
+		cells := []any{name}
+		for _, o := range columns {
+			cells = append(cells, counts[o])
+		}
+		t.AddRow(cells...)
 	}
 	sums := map[faults.Oracle]int{}
 	for _, d := range dialect.All {
 		counts := map[faults.Oracle]int{}
+		detected := 0
 		for _, r := range data[d] {
 			if r.Detected {
 				counts[r.Bug.Oracle]++
+				sums[r.Bug.Oracle]++
+				detected++
 			}
 		}
-		for o, n := range counts {
-			sums[o] += n
+		row(d.DisplayName(), counts)
+		inColumns := 0
+		for _, o := range columns {
+			inColumns += counts[o]
 		}
-		t.AddRow(d.DisplayName(), counts[faults.OracleContainment], counts[faults.OracleError], counts[faults.OracleCrash],
-			counts[faults.OracleTLP], counts[faults.OracleNoREC])
+		if inColumns != detected {
+			b.Errorf("%s: Table 3 row sums to %d, Table 2 detected %d (oracles %v)", d, inColumns, detected, counts)
+		}
 	}
-	t.AddRow("Sum", sums[faults.OracleContainment], sums[faults.OracleError], sums[faults.OracleCrash],
-		sums[faults.OracleTLP], sums[faults.OracleNoREC])
+	row("Sum", sums)
 	printExperiment("table3", t.Render())
-	b.ReportMetric(float64(sums[faults.OracleContainment]), "contains")
-	b.ReportMetric(float64(sums[faults.OracleError]), "error")
-	b.ReportMetric(float64(sums[faults.OracleCrash]), "segfault")
-	b.ReportMetric(float64(sums[faults.OracleTLP]), "tlp")
-	b.ReportMetric(float64(sums[faults.OracleNoREC]), "norec")
+	for _, o := range columns {
+		b.ReportMetric(float64(sums[o]), string(o))
+	}
 	for i := 0; i < b.N; i++ {
 		_ = data
 	}
@@ -291,84 +322,6 @@ func BenchmarkThroughputStatements(b *testing.B) {
 			elapsed := time.Since(start).Seconds()
 			if elapsed > 0 {
 				b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
-			}
-		})
-	}
-}
-
-// BenchmarkCampaignThroughput compares the sut.DB execution modes in the
-// campaign hot loop: the ExecAST fast path (generated ASTs run directly,
-// traces rendered only on detection) against wire-fidelity mode (every
-// statement rendered and reparsed, the pre-boundary behaviour). Both
-// report databases/sec so the trajectory stays visible across PRs; the
-// fast path is expected to stay ≥1.5× ahead.
-func BenchmarkCampaignThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		wire bool
-	}{
-		{"FastPath", false},
-		{"WireFidelity", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for _, d := range dialect.All {
-				b.Run(d.String(), func(b *testing.B) {
-					tester := core.NewTester(core.Config{
-						Dialect:      d,
-						Seed:         1,
-						QueriesPerDB: 20,
-						WireFidelity: mode.wire,
-					})
-					b.ResetTimer()
-					start := time.Now()
-					for i := 0; i < b.N; i++ {
-						if _, err := tester.RunDatabase(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					elapsed := time.Since(start).Seconds()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed, "dbs/s")
-						b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
-					}
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkOracleThroughput compares the testing oracles' campaign cost:
-// the same database-generation phase under PQS's pivot loop, TLP's
-// partition/aggregate checks, and NoREC's query pairs, per dialect. Both
-// dbs/s and stmts/s are reported so the metamorphic oracles' extra query
-// volume stays visible next to BenchmarkCampaignThroughput in the CI
-// -benchtime=1x smoke.
-func BenchmarkOracleThroughput(b *testing.B) {
-	for _, name := range []string{"pqs", "tlp", "norec"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for _, d := range dialect.All {
-				d := d
-				b.Run(d.String(), func(b *testing.B) {
-					tester := core.NewTester(core.Config{
-						Dialect:      d,
-						Oracle:       name,
-						Seed:         1,
-						QueriesPerDB: 20,
-					})
-					b.ResetTimer()
-					start := time.Now()
-					for i := 0; i < b.N; i++ {
-						if _, err := tester.RunDatabase(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					elapsed := time.Since(start).Seconds()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed, "dbs/s")
-						b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
-					}
-				})
 			}
 		})
 	}
@@ -919,33 +872,52 @@ func BenchmarkRowFilter(b *testing.B) {
 }
 
 var (
-	schedOnce       sync.Once
-	schedRatios     map[string]float64 // dialect -> scheduler/baseline dbs/s
-	lifecycleOnce   sync.Once
-	lifecycleRatios map[string]float64 // dialect -> lifecycle/newtester dbs/s
+	schedOnce   sync.Once
+	schedRatios map[string]schedRatio // dialect -> dbs/s against the baseline
 )
 
-// measureSchedulerThroughput computes, per dialect, the dbs/s of a
-// multi-campaign work-stealing sweep (shared pool, pooled lifecycles)
-// against the per-database NewTester baseline the runner used before the
-// scheduler existed: one goroutine, a fresh Tester and engine for every
-// database. Same workload as BenchmarkCampaignThroughput (QueriesPerDB
-// 20, soundness).
-func measureSchedulerThroughput(b *testing.B) map[string]float64 {
-	schedOnce.Do(func() {
-		schedRatios = map[string]float64{}
-		const perCampaign, campaigns = 100, 6
-		for _, d := range dialect.All {
-			total := perCampaign * campaigns
+// schedRatio is one dialect's dbs/s through the pooled lifecycle and
+// through the shared-pool sweep, each divided by the per-database
+// NewTester baseline.
+type schedRatio struct{ lifecycle, sweep float64 }
 
-			start := time.Now()
-			for i := 0; i < total; i++ {
-				tester := core.NewTester(core.Config{Dialect: d, Seed: int64(i + 1), QueriesPerDB: 20})
-				if _, err := tester.RunDatabase(); err != nil {
-					b.Fatal(err)
+// measureSchedulerThroughput measures, per dialect, the per-database
+// NewTester baseline the runner used before the scheduler existed (one
+// goroutine, a fresh Tester and engine for every database) once, and
+// compares against it both halves of the scheduler's win: the identical
+// single-threaded seed sequence through one pooled Lifecycle (engine
+// Reset + RNG reseed per database), which isolates reuse from
+// parallelism, and a multi-campaign work-stealing sweep (shared pool,
+// pooled lifecycles). Soundness campaigns, QueriesPerDB 20.
+func measureSchedulerThroughput(b *testing.B) map[string]schedRatio {
+	schedOnce.Do(func() {
+		schedRatios = map[string]schedRatio{}
+		const perCampaign, campaigns = 100, 6
+		const total = perCampaign * campaigns
+		for _, d := range dialect.All {
+			cfg := core.Config{Dialect: d, QueriesPerDB: 20}
+			rate := func(run func(seed int64) error) float64 {
+				start := time.Now()
+				for i := 0; i < total; i++ {
+					if err := run(int64(i + 1)); err != nil {
+						b.Fatal(err)
+					}
 				}
+				return float64(total) / time.Since(start).Seconds()
 			}
-			baseline := float64(total) / time.Since(start).Seconds()
+
+			baseline := rate(func(seed int64) error {
+				c := cfg
+				c.Seed = seed
+				_, err := core.NewTester(c).RunDatabase()
+				return err
+			})
+			lc := core.NewLifecycle(cfg)
+			reused := rate(func(seed int64) error {
+				_, err := lc.RunSeed(seed)
+				return err
+			})
+			lc.Close()
 
 			var cs []runner.Campaign
 			for i := 0; i < campaigns; i++ {
@@ -956,7 +928,7 @@ func measureSchedulerThroughput(b *testing.B) map[string]float64 {
 					Tester:       core.Config{QueriesPerDB: 20},
 				})
 			}
-			start = time.Now()
+			start := time.Now()
 			s := &runner.Scheduler{}
 			for _, r := range s.Sweep(context.Background(), cs) {
 				if r.Detected {
@@ -965,89 +937,36 @@ func measureSchedulerThroughput(b *testing.B) map[string]float64 {
 			}
 			sched := float64(total) / time.Since(start).Seconds()
 
-			schedRatios[d.String()] = sched / baseline
+			schedRatios[d.String()] = schedRatio{lifecycle: reused / baseline, sweep: sched / baseline}
 			printExperiment("sched-"+d.String(), fmt.Sprintf(
-				"Scheduler throughput (%s): %.0f dbs/s over one shared pool vs %.0f dbs/s per-database NewTester -> %.1fx\n",
-				d, sched, baseline, sched/baseline))
+				"Scheduler throughput (%s): per-database NewTester %.0f dbs/s; pooled Lifecycle %.0f dbs/s -> %.2fx; shared-pool sweep %.0f dbs/s -> %.1fx\n",
+				d, baseline, reused, reused/baseline, sched, sched/baseline))
 		}
 	})
 	return schedRatios
 }
 
 // BenchmarkSchedulerThroughput is the campaign-scheduler tentpole's
-// acceptance benchmark: many campaigns multiplexed over one shared
-// work-stealing pool of resettable engine lifecycles must clear >= 1.5x
-// the dbs/s of the per-database NewTester baseline on at least one
-// dialect. The CI -benchtime=1x smoke runs this as a tripwire (skipped on
-// boxes without enough cores for parallel speedup to be meaningful).
+// acceptance benchmark and two tripwires. Many campaigns multiplexed over
+// one shared work-stealing pool of resettable engine lifecycles must
+// clear >= 1.5x the dbs/s of the per-database NewTester baseline on at
+// least one dialect (checked only on boxes with enough cores for parallel
+// speedup to be meaningful). The single-threaded pooled Lifecycle must
+// stay >= 0.95x the baseline on every dialect: reuse alone must never
+// become a regression, whatever pooling and work stealing add on top.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	ratios := measureSchedulerThroughput(b)
 	best := 0.0
 	for d, r := range ratios {
-		b.ReportMetric(r, "x-"+d)
-		if r > best {
-			best = r
+		b.ReportMetric(r.sweep, "x-sweep-"+d)
+		b.ReportMetric(r.lifecycle, "x-lifecycle-"+d)
+		best = max(best, r.sweep)
+		if r.lifecycle < 0.95 {
+			b.Errorf("lifecycle reuse is a regression on %s: %.2fx the NewTester baseline", d, r.lifecycle)
 		}
 	}
 	if runtime.NumCPU() >= 4 && best < 1.5 {
 		b.Errorf("scheduler sweep only %.2fx the NewTester baseline on the best dialect (tripwire 1.5x)", best)
-	}
-	for i := 0; i < b.N; i++ {
-	}
-}
-
-// measureLifecycleReuse isolates the lifecycle-reuse half of the win from
-// parallelism: the identical single-threaded seed sequence through one
-// pooled Lifecycle (engine Reset + RNG reseed per database) vs a fresh
-// NewTester per database.
-func measureLifecycleReuse(b *testing.B) map[string]float64 {
-	lifecycleOnce.Do(func() {
-		lifecycleRatios = map[string]float64{}
-		const dbs = 400
-		for _, d := range dialect.All {
-			cfg := core.Config{Dialect: d, QueriesPerDB: 20}
-
-			start := time.Now()
-			for i := 0; i < dbs; i++ {
-				c := cfg
-				c.Seed = int64(i + 1)
-				if _, err := core.NewTester(c).RunDatabase(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			fresh := float64(dbs) / time.Since(start).Seconds()
-
-			lc := core.NewLifecycle(cfg)
-			start = time.Now()
-			for i := 0; i < dbs; i++ {
-				if _, err := lc.RunSeed(int64(i + 1)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reused := float64(dbs) / time.Since(start).Seconds()
-			lc.Close()
-
-			lifecycleRatios[d.String()] = reused / fresh
-			printExperiment("lifecycle-"+d.String(), fmt.Sprintf(
-				"Lifecycle reuse (%s): %.0f dbs/s pooled+reset vs %.0f dbs/s NewTester per database -> %.2fx\n",
-				d, reused, fresh, reused/fresh))
-		}
-	})
-	return lifecycleRatios
-}
-
-// BenchmarkLifecycleReuse tracks the single-threaded reuse win (engine
-// Reset, recycled storage containers, reseeded RNG vs full
-// reconstruction). The tripwire only guards against reuse becoming a
-// regression — the 1.5x acceptance gate lives on the scheduler benchmark,
-// where pooling and work stealing compound.
-func BenchmarkLifecycleReuse(b *testing.B) {
-	ratios := measureLifecycleReuse(b)
-	for d, r := range ratios {
-		b.ReportMetric(r, "x-"+d)
-		if r < 0.95 {
-			b.Errorf("lifecycle reuse is a regression on %s: %.2fx the NewTester baseline", d, r)
-		}
 	}
 	for i := 0; i < b.N; i++ {
 	}
@@ -1195,37 +1114,6 @@ func BenchmarkTxnThroughput(b *testing.B) {
 						b.ReportMetric(float64(b.N)/el, "commits/s")
 					}
 				})
-			}
-		})
-	}
-}
-
-// BenchmarkInterleavedCampaign measures the serializability oracle's
-// campaign cost next to the single-session oracles in
-// BenchmarkOracleThroughput: the same database-generation phase, then
-// interleaved multi-session histories with the serial-order search and
-// snapshot restore per check.
-func BenchmarkInterleavedCampaign(b *testing.B) {
-	for _, d := range dialect.All {
-		d := d
-		b.Run(d.String(), func(b *testing.B) {
-			tester := core.NewTester(core.Config{
-				Dialect:      d,
-				Oracle:       "serializability",
-				Seed:         1,
-				QueriesPerDB: 20,
-			})
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if _, err := tester.RunDatabase(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N)/elapsed, "dbs/s")
-				b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
 			}
 		})
 	}
@@ -1492,38 +1380,5 @@ func BenchmarkTopK(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkAggCampaignThroughput tracks what the aggregation work costs
-// where it matters: full PQS campaign throughput (generation + execution
-// + oracle checks, now including grouped and exact-position ordered
-// query shapes) with the hash paths on versus ablated, per dialect.
-func BenchmarkAggCampaignThroughput(b *testing.B) {
-	for _, off := range []strategy.Set{0, strategy.HashAgg} {
-		b.Run("disable="+off.String(), func(b *testing.B) {
-			for _, d := range dialect.All {
-				b.Run(d.String(), func(b *testing.B) {
-					tester := core.NewTester(core.Config{
-						Dialect:      d,
-						Seed:         1,
-						QueriesPerDB: 20,
-						Disable:      off,
-					})
-					b.ResetTimer()
-					start := time.Now()
-					for i := 0; i < b.N; i++ {
-						if _, err := tester.RunDatabase(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					elapsed := time.Since(start).Seconds()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed, "dbs/s")
-						b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
-					}
-				})
-			}
-		})
 	}
 }

@@ -51,8 +51,8 @@ type Config struct {
 	Oracle string
 	// WireFidelity switches the campaign hot loop from the ExecAST fast
 	// path back to the full render→reparse string round trip, for parser
-	// coverage (measurably slower; BenchmarkCampaignThroughput tracks the
-	// gap).
+	// coverage (measurably slower; TestFastPathThroughputRegression in
+	// internal/sut guards the gap).
 	WireFidelity bool
 	// Disable turns execution strategies off for every database (the
 	// `-disable` escape hatch for A/B runs and bisection; see DESIGN.md

@@ -574,7 +574,7 @@ func (e *Engine) accumulate(ac *aggCol, cell *aggCell, v sqlval.Value, nullSkipF
 // fault, the arity error, and lazy argument binding for zero-row groups
 // (whose bind errors the materialized path still raises).
 func (e *Engine) finalizeAgg(ac *aggCol, cell *aggCell, groupRows int64, x *exprEval) (sqlval.Value, error) {
-	e.cov.hit("dql.aggregate." + ac.name)
+	e.cov.hitNamed("dql.aggregate.", ac.name)
 	// Fault site (sqlite.agg-empty-group) — mirrored from aggregate() so
 	// the fault matrix is path-independent.
 	if e.d == dialect.SQLite && e.fs.Has(faults.AggEmptyGroup) && groupRows == 0 {

@@ -104,8 +104,8 @@ func parseSelect(t *testing.T, query string) *sqlast.Select {
 // on a warmed engine a SELECT reuses its frame (stmtScratch) and binds
 // clauses without closures, so a filtered 8-row SELECT (compiled: its 8
 // rows reach compileMinRows) and a 4×4 nested-loop join each allocate at
-// most the objects measured when the frames were introduced, result and
-// compiled programs included.
+// most the objects measured once coverage hits stopped concatenating
+// their keys, result and compiled programs included.
 func TestWarmQueryAllocs(t *testing.T) {
 	withThreshold(t, compileMinRows)
 	filtered, sel := crossoverEngine(t, 8)
@@ -118,8 +118,8 @@ func TestWarmQueryAllocs(t *testing.T) {
 		sel  *sqlast.Select
 		max  float64
 	}{
-		{"filtered 8-row SELECT", filtered, sel, 35},
-		{"4x4 join", joined, join, 13},
+		{"filtered 8-row SELECT", filtered, sel, 34},
+		{"4x4 join", joined, join, 12},
 	} {
 		a := testing.AllocsPerRun(50, func() {
 			if _, err := c.e.ExecStmt(c.sel); err != nil {

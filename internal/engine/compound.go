@@ -68,7 +68,7 @@ func (e *Engine) execCompound(n *sqlast.Compound) (*Result, error) {
 		case sqlast.OpExcept:
 			acc = &Result{Columns: acc.Columns, Rows: setExcept(acc.Rows, right.Rows)}
 		}
-		e.cov.hit("dql.compound." + n.Ops[i].String())
+		e.cov.hitNamed("dql.compound.", n.Ops[i].String())
 	}
 	return acc, nil
 }

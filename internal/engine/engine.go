@@ -212,7 +212,7 @@ func (c *Conn) ExecStmt(st sqlast.Stmt) (res *Result, err error) {
 		}
 	}()
 	e.seq++
-	e.cov.hit("stmt." + st.Kind())
+	e.cov.hitNamed("stmt.", st.Kind())
 	if tx, ok := st.(*sqlast.Txn); ok {
 		return e.execTxnLocked(c, tx)
 	}
@@ -465,14 +465,22 @@ func (e *Engine) constEval(x sqlast.Expr) (sqlval.Value, error) {
 // substrate while it runs).
 type Coverage struct {
 	mu   sync.Mutex
-	hits map[string]int
+	hits map[covKey]int
 }
 
-func newCoverage() *Coverage { return &Coverage{hits: map[string]int{}} }
+// covKey names one feature as a group prefix and a name that Snapshot
+// joins, so a hit on a per-statement name ("stmt." + kind) needs no
+// concatenated heap string. A fixed feature is its group alone.
+type covKey struct{ group, name string }
 
-func (c *Coverage) hit(feature string) {
+func newCoverage() *Coverage { return &Coverage{hits: map[covKey]int{}} }
+
+func (c *Coverage) hit(feature string) { c.hitNamed(feature, "") }
+
+// hitNamed counts the feature group+name.
+func (c *Coverage) hitNamed(group, name string) {
 	c.mu.Lock()
-	c.hits[feature]++
+	c.hits[covKey{group, name}]++
 	c.mu.Unlock()
 }
 
@@ -489,7 +497,7 @@ func (c *Coverage) Snapshot() map[string]int {
 	defer c.mu.Unlock()
 	out := make(map[string]int, len(c.hits))
 	for k, v := range c.hits {
-		out[k] = v
+		out[k.group+k.name] += v
 	}
 	return out
 }

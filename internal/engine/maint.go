@@ -280,7 +280,7 @@ var knownOptions = map[dialect.Dialect]map[string]bool{
 }
 
 func (e *Engine) setOption(n *sqlast.SetOption) (*Result, error) {
-	e.cov.hit("opt." + n.Name)
+	e.cov.hitNamed("opt.", n.Name)
 	if !knownOptions[e.d][n.Name] {
 		return nil, xerr.New(xerr.CodeOption, "unknown option: %s", n.Name)
 	}

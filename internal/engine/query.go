@@ -948,8 +948,8 @@ func keysEqual(a, b []sqlval.Value) bool {
 // group of the statement.
 func (e *Engine) aggregate(ac *aggCol, x *exprEval, combos []*storage.Row, w int) (sqlval.Value, error) {
 	fc := ac.fc
-	e.cov.hit("dql.aggregate." + strings.ToUpper(fc.Name))
 	up := strings.ToUpper(fc.Name)
+	e.cov.hitNamed("dql.aggregate.", up)
 	// Fault site (sqlite.agg-empty-group): an aggregate whose filtered
 	// input is empty materializes a phantom row — COUNT reports 1,
 	// SUM/MIN/MAX report 0 instead of NULL. PQS never aggregates; TLP's

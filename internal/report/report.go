@@ -1,7 +1,7 @@
 // Package report renders the reproduction's tables and figures in the
 // shape the paper presents them: ASCII tables for Tables 1–4 and data
-// series for Figures 2–3. The benchmark harness and cmd/benchreport both
-// print through this package so EXPERIMENTS.md and bench output agree.
+// series for Figures 2–3. The root benchmark harness (bench_test.go)
+// prints every paper experiment through this package.
 package report
 
 import (
@@ -67,25 +67,6 @@ func (t *Table) Render() string {
 	if t.Note != "" {
 		b.WriteString(t.Note)
 		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// Markdown renders the table as GitHub Markdown (EXPERIMENTS.md).
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s\n\n", t.Title)
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(sep, " | ") + " |\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	if t.Note != "" {
-		b.WriteString("\n" + t.Note + "\n")
 	}
 	return b.String()
 }
@@ -193,8 +174,8 @@ func CountLOC(dir string) (int, error) {
 }
 
 // RepoRoot locates the repository root by walking up from the working
-// directory until go.mod appears (benches run from the repo root; commands
-// may run elsewhere).
+// directory until go.mod appears (benches run from the repo root, this
+// package's tests from internal/report).
 func RepoRoot() string {
 	dir, err := os.Getwd()
 	if err != nil {
@@ -258,7 +239,13 @@ func (h *StatementHistogram) Render(title string) string {
 	for k := range h.Counts {
 		kinds = append(kinds, k)
 	}
-	sort.Slice(kinds, func(i, j int) bool { return h.Counts[kinds[i]] > h.Counts[kinds[j]] })
+	// Ties break by name so the figure is byte-identical run to run.
+	sort.Slice(kinds, func(i, j int) bool {
+		if ci, cj := h.Counts[kinds[i]], h.Counts[kinds[j]]; ci != cj {
+			return ci > cj
+		}
+		return kinds[i] < kinds[j]
+	})
 	for _, k := range kinds {
 		frac := 0.0
 		if h.Total > 0 {
